@@ -78,7 +78,7 @@ inline constexpr std::array<WorkloadDef, 3> kWorkloads{{
     {"poc_sessions",
      "patient sessions on GOD, FET and CV sensors through the service: "
      "admission, fair scheduling, per-session order",
-     "open loop, Poisson 280 readings/s over 24 sessions, 3 service workers"},
+     "open loop, Poisson 200 readings/s over 24 sessions, 3 service workers"},
 }};
 
 }  // namespace e2e

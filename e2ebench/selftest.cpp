@@ -76,6 +76,16 @@ void test_open_loop_lateness() {
   EXPECT(std::isinf(f.latency_p99_ms));
   EXPECT(near(f.latency_p50_ms, 2.0));
 
+  // Sliced: the stall sits in the first of five slices of 200, so the
+  // other slices' p99 (2 ms) carry the median; lateness stays whole-run.
+  for (int i = 0; i < 20; ++i) reqs[static_cast<std::size_t>(i)].ok = true;
+  const e2e::OpenLoopSummary sliced = e2e::summarize_open_loop(reqs, 5);
+  EXPECT(near(sliced.latency_p99_ms, 2.0));
+  EXPECT(near(sliced.latency_p50_ms, 2.0));
+  EXPECT(near(sliced.late_p99_ms, 40.0));
+  EXPECT(near(e2e::sliced_quantile({1, 2, 3, 4, 100}, 0.5, 1), 3.0));
+  EXPECT(near(e2e::sliced_quantile({1, 9, 2, 9, 3, 9}, 0.0, 3), 2.0));
+
   // A generator that is never late reports zero lateness.
   std::vector<e2e::OpenLoopRequest> punctual(10);
   for (int i = 0; i < 10; ++i) {

@@ -18,6 +18,22 @@ double quantile(std::vector<double> values, double q) {
   return values[std::min(values.size() - 1, rank == 0 ? 0 : rank - 1)];
 }
 
+double sliced_quantile(const std::vector<double>& values, double q,
+                       std::size_t slices) {
+  const std::size_t n = values.size();
+  slices = std::min(slices, n);
+  if (slices <= 1) return quantile(values, q);
+  std::vector<double> per_slice;
+  for (std::size_t s = 0; s < slices; ++s) {
+    const auto first =
+        values.begin() + static_cast<std::ptrdiff_t>(s * n / slices);
+    const auto last =
+        values.begin() + static_cast<std::ptrdiff_t>((s + 1) * n / slices);
+    per_slice.push_back(quantile(std::vector<double>(first, last), q));
+  }
+  return median(std::move(per_slice));
+}
+
 double median(std::vector<double> values) {
   return quantile(std::move(values), 0.5);
 }
@@ -48,7 +64,7 @@ double median_slice_rate(const std::vector<double>& work,
 }
 
 OpenLoopSummary summarize_open_loop(
-    const std::vector<OpenLoopRequest>& requests) {
+    const std::vector<OpenLoopRequest>& requests, std::size_t slices) {
   OpenLoopSummary s;
   s.requests = requests.size();
   std::vector<double> latency_ms;
@@ -64,8 +80,8 @@ OpenLoopSummary summarize_open_loop(
       latency_ms.push_back(std::numeric_limits<double>::infinity());
     }
   }
-  s.latency_p50_ms = quantile(latency_ms, 0.50);
-  s.latency_p99_ms = quantile(latency_ms, 0.99);
+  s.latency_p50_ms = sliced_quantile(latency_ms, 0.50, slices);
+  s.latency_p99_ms = sliced_quantile(latency_ms, 0.99, slices);
   s.late_p99_ms = quantile(late_ms, 0.99);
   s.beyond_p99 = static_cast<std::size_t>(
       std::count_if(latency_ms.begin(), latency_ms.end(),

@@ -15,6 +15,13 @@ namespace e2e {
 /// Returns 0 for an empty input.
 [[nodiscard]] double quantile(std::vector<double> values, double q);
 
+/// quantile() taken within each of `slices` consecutive groups of
+/// (nearly) equal count, then the median over the groups, so a stall
+/// inside one stretch of a run moves one slice, not the result. Equal
+/// to quantile() for slices <= 1.
+[[nodiscard]] double sliced_quantile(const std::vector<double>& values,
+                                     double q, std::size_t slices);
+
 /// Median of `values` (nearest-rank, see quantile()).
 [[nodiscard]] double median(std::vector<double> values);
 
@@ -45,15 +52,17 @@ struct OpenLoopSummary {
   double latency_p50_ms = 0.0;  ///< due -> done
   double latency_p99_ms = 0.0;  ///< +inf when over 1% failed
   double late_p99_ms = 0.0;     ///< due -> sent (generator lateness)
-  /// Samples strictly above the p99 latency rank (the guide asks for
-  /// at least ten).
+  /// Samples strictly above latency_p99_ms, for judging how many
+  /// samples the tail rests on.
   std::size_t beyond_p99 = 0;
 };
 
 /// Latency is timed from when each request was due, so a stall also
-/// charges the requests queued behind it; failures count as +inf.
+/// charges the requests queued behind it; failures count as +inf. The
+/// latency percentiles are sliced_quantile() over `slices` consecutive
+/// stretches of `requests` (in due order); lateness covers the run.
 [[nodiscard]] OpenLoopSummary summarize_open_loop(
-    const std::vector<OpenLoopRequest>& requests);
+    const std::vector<OpenLoopRequest>& requests, std::size_t slices = 1);
 
 /// Name rule of BENCHMARK.json: starts with a letter or digit, at most
 /// 64 of letters, digits, '_', '.', '-'.
