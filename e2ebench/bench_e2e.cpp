@@ -340,10 +340,16 @@ struct Batch {
   std::uint64_t seed = 0;
 };
 
+/// Patients per cohort_warm batch. A batch must run long against a
+/// scheduler tick: at 16 patients (~4.5 ms) one descheduled worker
+/// doubled a batch and the batch p99 followed the host's load; at 64
+/// (~17 ms) the other workers absorb a stall.
+constexpr std::size_t kWarmPatients = 64;
+
 Report run_cohort(const Args& args, bool warm) {
   Report report;
   zero_per_layer(report);
-  const std::size_t patients = args.quick ? 4 : (warm ? 16 : 8);
+  const std::size_t patients = args.quick ? 4 : (warm ? kWarmPatients : 8);
   const std::size_t compositions = args.quick ? 8 : 36;
   const std::vector<PanelSensor>& panel = kCohortPanel;
 

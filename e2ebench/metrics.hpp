@@ -74,7 +74,7 @@ inline constexpr std::array<WorkloadDef, 3> kWorkloads{{
     {"cohort_warm",
      "same panel over 36 repeated compositions, warm sim cache: readout, "
      "analysis, keying and dispatch dominate",
-     "closed loop, 1 client, batches of 16 patients, 3 engine workers"},
+     "closed loop, 1 client, batches of 64 patients, 3 engine workers"},
     {"poc_sessions",
      "patient sessions on GOD, FET and CV sensors through the service: "
      "admission, fair scheduling, per-session order",
