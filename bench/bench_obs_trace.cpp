@@ -1,34 +1,34 @@
-// Observability bench: what tracing a cohort costs and where the time
+// Observability bench: what recording a cohort costs and where the time
 // goes (docs/observability.md).
 //
+// The flight recorder is the one event store; this bench installs it at
+// two ring capacities. The trace-sized ring keeps every event of the
+// cohort (a trace is that ring's dump, rendered by the exporters); the
+// resident-sized ring is smaller than the cohort's event volume, so its
+// measured cost includes the overwrite path.
+//
 // Section 1 — byte-identity. A 48-patient two-sensor cohort is assayed
-// untraced on a serial engine (the reference bytes), then re-assayed
-// with a TraceSession attached via EngineOptions::trace at 0, 1, and 8
-// workers. Tracing only reads clocks — it never touches a job's Rng
-// stream — so every traced fingerprint must equal the untraced
-// reference; the bench exits nonzero on any divergence.
+// with nothing installed on a serial engine (the reference bytes), then
+// re-assayed with the store installed at both capacities at 0, 1, and 8
+// workers. Recording only reads clocks — it never touches a job's Rng
+// stream — so every fingerprint must equal the reference; the bench
+// exits nonzero on any divergence.
 //
 // Section 2 — per-layer latency attribution. The serial traced run's
-// session is kept for inspection and its per-layer histograms printed
-// as the attribution table (span count, failures, total inclusive
-// seconds, p50/p95). Inclusive semantics: a chem span nested inside an
+// dump is kept and its per-layer span statistics printed as the
+// attribution table (span count, failures, total inclusive seconds,
+// p50/p95). Inclusive semantics: a chem span nested inside an
 // electrochem sweep counts toward both layers, so the column does not
 // sum to wall time.
 //
-// Section 3 — enabled-tracing overhead: traced vs untraced serial wall
-// time. Reps are *interleaved* (untraced then traced, best of 3 each)
-// so both see the same cache/frequency regime — the old back-to-back
-// ordering let the traced block inherit a warm machine and report a
+// Section 3 — enabled overhead: recorded vs plain serial wall time per
+// capacity. Reps are *interleaved* (plain then recorded, best of 3
+// each) so both see the same cache/frequency regime — back-to-back
+// ordering lets the second block inherit a warm machine and report a
 // negative overhead. The reported percentage clamps at 0 (a negative
-// reading is timer noise, not tracing making work faster). This is the
-// cost of *running* a session; the <2% disabled-path budget is
-// enforced separately by the perf-smoke gate on bench_sim_kernels.
-//
-// Section 4 — flight recorder + sampler. The cohort is re-assayed with
-// a FlightRecorder installed (ring capacity deliberately smaller than
-// the event volume, so overwrite accounting is exercised) and the
-// engine sampler active: byte-identity at 0/1/8 workers again, and the
-// recorder wall overhead vs the plain run (same interleaving + clamp).
+// reading is timer noise, not recording making work faster). The <2%
+// disabled-path budget is enforced separately by the perf-smoke gate on
+// bench_sim_kernels.
 //
 // The JSON printed at the end is the committed BENCH_obs.json baseline
 // future perf PRs cite. BIOSENS_SMOKE=1 (or BIOSENS_BENCH_SMOKE=1)
@@ -43,8 +43,8 @@
 #include "core/platform.hpp"
 #include "core/workloads.hpp"
 #include "engine/engine.hpp"
+#include "obs/export_prometheus.hpp"
 #include "obs/recorder.hpp"
-#include "obs/span.hpp"
 
 namespace {
 
@@ -102,6 +102,70 @@ std::string fingerprint(const std::vector<core::PanelReport>& reports) {
   return out;
 }
 
+/// One ring capacity's runs: interleaved plain/recorded serial reps,
+/// then recorded runs at 1 and 8 workers.
+struct StoreRun {
+  double plain_s = 1e18;
+  double recorded_s = 1e18;
+  bool deterministic = true;
+  obs::RecorderDump serial_dump;  ///< the last serial recorded rep
+};
+
+StoreRun run_with_store(const core::Platform& platform,
+                        const std::vector<chem::Sample>& samples,
+                        const core::PanelBatchOptions& options,
+                        const std::string& reference, std::size_t capacity,
+                        const char* label) {
+  obs::FlightRecorderOptions recorder_options;
+  recorder_options.ring_capacity_per_thread = capacity;
+  obs::FlightRecorder recorder(recorder_options);
+  StoreRun run;
+  const auto check = [&](const std::vector<core::PanelReport>& reports,
+                         const char* mode, std::size_t workers) {
+    if (fingerprint(reports) == reference) return;
+    run.deterministic = false;
+    std::fprintf(stderr,
+                 "BYTE-IDENTITY VIOLATION: %s %s run at %zu workers "
+                 "diverges from the reference\n",
+                 label, mode, workers);
+  };
+  for (int rep = 0; rep < 3; ++rep) {
+    {
+      engine::Engine plain;
+      const engine::Stopwatch watch;
+      const auto batch = platform.run_panel_batch(samples, plain, options);
+      run.plain_s = std::min(run.plain_s, watch.elapsed_seconds());
+      check(batch.reports, "plain", 0);
+    }
+    {
+      recorder.install();
+      engine::Engine recorded;
+      const engine::Stopwatch watch;
+      const auto batch = platform.run_panel_batch(samples, recorded, options);
+      run.recorded_s = std::min(run.recorded_s, watch.elapsed_seconds());
+      recorder.uninstall();
+      check(batch.reports, "recorded", 0);
+    }
+  }
+  // install() clears the rings, so keep the serial dump before the
+  // worker runs reuse the recorder.
+  run.serial_dump = recorder.dump();
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{8}}) {
+    engine::EngineOptions parallel;
+    parallel.workers = workers;
+    recorder.install();
+    engine::Engine recorded(parallel);
+    const auto batch = platform.run_panel_batch(samples, recorded, options);
+    recorder.uninstall();
+    check(batch.reports, "recorded", workers);
+  }
+  return run;
+}
+
+double overhead_pct(const StoreRun& run) {
+  return std::max(0.0, (run.recorded_s / run.plain_s - 1.0) * 100.0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -132,144 +196,64 @@ int main(int argc, char** argv) {
         fingerprint(platform.run_panel_batch(samples, warmup, options).reports);
   }
 
-  // -- interleaved untraced/traced reps: bytes + wall time (best of 3) --
-  bool deterministic = true;
-  obs::TraceSession session;  // retains the last serial traced batch
-  double untraced_s = 1e18;
-  double traced_s = 1e18;
-  for (int rep = 0; rep < 3; ++rep) {
-    {
-      engine::Engine untraced;
-      const engine::Stopwatch watch;
-      const auto run = platform.run_panel_batch(samples, untraced, options);
-      untraced_s = std::min(untraced_s, watch.elapsed_seconds());
-      if (fingerprint(run.reports) != reference) {
-        deterministic = false;
-        std::fprintf(stderr, "NONDETERMINISM: untraced serial reps "
-                             "disagree with each other\n");
-      }
-    }
-    {
-      engine::Engine traced(engine::EngineOptions{.trace = &session});
-      const engine::Stopwatch watch;
-      const auto run = platform.run_panel_batch(samples, traced, options);
-      traced_s = std::min(traced_s, watch.elapsed_seconds());
-      if (fingerprint(run.reports) != reference) {
-        deterministic = false;
-        std::fprintf(stderr, "BYTE-IDENTITY VIOLATION: traced serial run "
-                             "diverges from the untraced reference\n");
-      }
-    }
-  }
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{8}}) {
-    obs::TraceSession parallel_session;
-    engine::Engine traced(engine::EngineOptions{
-        .workers = workers, .trace = &parallel_session});
-    const auto run = platform.run_panel_batch(samples, traced, options);
-    if (fingerprint(run.reports) != reference) {
-      deterministic = false;
-      std::fprintf(stderr,
-                   "BYTE-IDENTITY VIOLATION: traced results diverge at "
-                   "%zu workers\n",
-                   workers);
-    }
-  }
+  // A trace-sized ring keeps every event of the cohort; the resident
+  // ring is sized below the cohort's event volume on purpose, so the
+  // overwrite path is part of its measured cost.
+  constexpr std::size_t kTraceCapacity = std::size_t{1} << 20;
+  constexpr std::size_t kResidentCapacity = 512;
+  const StoreRun traced = run_with_store(platform, samples, options,
+                                         reference, kTraceCapacity, "traced");
+  const StoreRun resident =
+      run_with_store(platform, samples, options, reference,
+                     kResidentCapacity, "resident-recorder");
+  const obs::RecorderDump& trace = traced.serial_dump;
+  const obs::LayerSpanStats layers(trace);
 
-  // -- flight recorder + sampler on: bytes at 0/1/8 workers + overhead --
-  // The ring is sized below the cohort's event volume on purpose: the
-  // steady-state cost being measured includes the overwrite path, and
-  // the accounting (recorded vs overwritten) lands in the JSON.
-  obs::FlightRecorderOptions recorder_options;
-  recorder_options.ring_capacity_per_thread = 512;
-  obs::FlightRecorder recorder(recorder_options);
-  bool recorder_deterministic = true;
-  double plain_s = 1e18;
-  double recorder_s = 1e18;
-  for (int rep = 0; rep < 3; ++rep) {
-    {
-      engine::Engine plain;
-      const engine::Stopwatch watch;
-      const auto run = platform.run_panel_batch(samples, plain, options);
-      plain_s = std::min(plain_s, watch.elapsed_seconds());
-      benchmark::DoNotOptimize(run.reports.size());
-    }
-    {
-      recorder.install();
-      engine::Engine recorded;
-      const engine::Stopwatch watch;
-      const auto run = platform.run_panel_batch(samples, recorded, options);
-      recorder_s = std::min(recorder_s, watch.elapsed_seconds());
-      recorded.sampler().sample_now();
-      recorder.uninstall();
-      if (fingerprint(run.reports) != reference) {
-        recorder_deterministic = false;
-        std::fprintf(stderr, "BYTE-IDENTITY VIOLATION: recorder-on "
-                             "serial run diverges from the reference\n");
-      }
-    }
-  }
-  // install() re-zeroes the counters, so freeze the serial-rep totals
-  // before the worker runs reuse the recorder.
-  const std::uint64_t recorder_events = recorder.recorded_events();
-  const std::uint64_t recorder_overwritten = recorder.overwritten_events();
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{8}}) {
-    recorder.install();
-    engine::Engine recorded(engine::EngineOptions{.workers = workers});
-    const auto run = platform.run_panel_batch(samples, recorded, options);
-    recorder.uninstall();
-    if (fingerprint(run.reports) != reference) {
-      recorder_deterministic = false;
-      std::fprintf(stderr,
-                   "BYTE-IDENTITY VIOLATION: recorder-on results "
-                   "diverge at %zu workers\n",
-                   workers);
-    }
-  }
-
-  // -- per-layer attribution (serial traced session) --
+  // -- per-layer attribution (serial traced run) --
   std::printf("\nper-layer latency attribution, %zu-patient serial traced "
               "run\n(inclusive spans: nested layers overlap, columns do "
               "not sum to wall time):\n",
               samples.size());
   std::printf("  %-12s %8s %6s %12s %10s %10s\n", "layer", "spans",
               "fails", "total_s", "p50_us", "p95_us");
+  std::uint64_t spans = 0;
+  std::uint64_t failed_spans = 0;
   for (std::size_t i = 0; i < kLayerCount; ++i) {
-    const auto layer = static_cast<Layer>(i);
-    const obs::LatencyHistogram& h = session.layer_latency(layer);
+    const obs::LatencyHistogram& h = layers.latency[i];
     if (h.count() == 0) continue;
+    spans += h.count();
+    failed_spans += layers.failures[i];
     std::printf("  %-12s %8llu %6llu %12.4f %10.1f %10.1f\n",
-                std::string(to_string(layer)).c_str(),
+                std::string(to_string(static_cast<Layer>(i))).c_str(),
                 static_cast<unsigned long long>(h.count()),
-                static_cast<unsigned long long>(session.layer_failures(layer)),
+                static_cast<unsigned long long>(layers.failures[i]),
                 h.total_seconds(), h.quantile(0.5) * 1e6,
                 h.quantile(0.95) * 1e6);
   }
-  std::printf("  spans: %llu total, %llu failed; %llu events, %llu "
-              "dropped\n",
-              static_cast<unsigned long long>(session.span_count()),
-              static_cast<unsigned long long>(session.failed_span_count()),
-              static_cast<unsigned long long>(session.event_count()),
-              static_cast<unsigned long long>(session.dropped_events()));
+  std::printf("  spans: %llu total, %llu failed; %zu events, %llu "
+              "overwritten\n",
+              static_cast<unsigned long long>(spans),
+              static_cast<unsigned long long>(failed_spans),
+              trace.events.size(),
+              static_cast<unsigned long long>(trace.overwritten));
 
-  // -- enabled-tracing + recorder overhead (clamped at 0: a negative
-  // reading is rep-to-rep timer noise, not a speedup) --
-  const double overhead_pct =
-      std::max(0.0, (traced_s / untraced_s - 1.0) * 100.0);
-  const double recorder_overhead_pct =
-      std::max(0.0, (recorder_s / plain_s - 1.0) * 100.0);
-  std::printf("\nserial cohort wall (interleaved, best of 3): untraced "
-              "%.4f s, traced %.4f s (+%.1f%% with a session installed)\n",
-              untraced_s, traced_s, overhead_pct);
-  std::printf("flight recorder + sampler: plain %.4f s, recorder-on "
-              "%.4f s (+%.1f%%); %llu events recorded, %llu overwritten "
-              "(ring capacity %zu)\n",
-              plain_s, recorder_s, recorder_overhead_pct,
-              static_cast<unsigned long long>(recorder_events),
-              static_cast<unsigned long long>(recorder_overwritten),
-              recorder.options().ring_capacity_per_thread);
-  if (!deterministic || !recorder_deterministic) return 1;
-  std::printf("byte-identity: traced == untraced == recorder-on at 0, 1 "
-              "and 8 workers (seed %llu)\n",
+  const double traced_overhead_pct = overhead_pct(traced);
+  const double resident_overhead_pct = overhead_pct(resident);
+  std::printf("\nserial cohort wall (interleaved, best of 3): plain %.4f "
+              "s, traced %.4f s (+%.1f%% with a trace-sized ring "
+              "installed)\n",
+              traced.plain_s, traced.recorded_s, traced_overhead_pct);
+  std::printf("resident flight recorder: plain %.4f s, recorder-on %.4f s "
+              "(+%.1f%%); %llu events recorded, %llu overwritten (ring "
+              "capacity %zu)\n",
+              resident.plain_s, resident.recorded_s, resident_overhead_pct,
+              static_cast<unsigned long long>(resident.serial_dump.recorded),
+              static_cast<unsigned long long>(
+                  resident.serial_dump.overwritten),
+              kResidentCapacity);
+  if (!traced.deterministic || !resident.deterministic) return 1;
+  std::printf("byte-identity: plain == traced == recorder-on at 0, 1 and 8 "
+              "workers (seed %llu)\n",
               static_cast<unsigned long long>(options.seed));
 
   std::string json = "{\n";
@@ -278,27 +262,28 @@ int main(int argc, char** argv) {
                 "  \"cohort\": {\"patients\": %zu, "
                 "\"untraced_wall_s\": %.4f, \"traced_wall_s\": %.4f,\n"
                 "    \"traced_overhead_pct\": %.1f},\n",
-                samples.size(), untraced_s, traced_s, overhead_pct);
+                samples.size(), traced.plain_s, traced.recorded_s,
+                traced_overhead_pct);
   json += buffer;
   std::snprintf(buffer, sizeof(buffer),
-                "  \"session\": {\"spans\": %llu, \"failed_spans\": %llu, "
-                "\"events\": %llu, \"dropped\": %llu},\n",
-                static_cast<unsigned long long>(session.span_count()),
-                static_cast<unsigned long long>(session.failed_span_count()),
-                static_cast<unsigned long long>(session.event_count()),
-                static_cast<unsigned long long>(session.dropped_events()));
+                "  \"trace\": {\"ring_capacity\": %zu, \"spans\": %llu, "
+                "\"failed_spans\": %llu, \"events\": %zu, "
+                "\"overwritten\": %llu},\n",
+                kTraceCapacity, static_cast<unsigned long long>(spans),
+                static_cast<unsigned long long>(failed_spans),
+                trace.events.size(),
+                static_cast<unsigned long long>(trace.overwritten));
   json += buffer;
   json += "  \"layers\": {";
   bool first = true;
   for (std::size_t i = 0; i < kLayerCount; ++i) {
-    const auto layer = static_cast<Layer>(i);
-    const obs::LatencyHistogram& h = session.layer_latency(layer);
+    const obs::LatencyHistogram& h = layers.latency[i];
     if (h.count() == 0) continue;
     std::snprintf(buffer, sizeof(buffer),
                   "%s\n    \"%s\": {\"spans\": %llu, \"total_s\": %.4f, "
                   "\"p50_us\": %.1f, \"p95_us\": %.1f}",
                   first ? "" : ",",
-                  std::string(to_string(layer)).c_str(),
+                  std::string(to_string(static_cast<Layer>(i))).c_str(),
                   static_cast<unsigned long long>(h.count()),
                   h.total_seconds(), h.quantile(0.5) * 1e6,
                   h.quantile(0.95) * 1e6);
@@ -311,14 +296,15 @@ int main(int argc, char** argv) {
                 "\"recorder_wall_s\": %.4f, \"overhead_pct\": %.1f,\n"
                 "    \"events_recorded\": %llu, \"overwritten\": %llu, "
                 "\"ring_capacity\": %zu, \"deterministic\": %s},\n",
-                plain_s, recorder_s, recorder_overhead_pct,
-                static_cast<unsigned long long>(recorder_events),
-                static_cast<unsigned long long>(recorder_overwritten),
-                recorder.options().ring_capacity_per_thread,
-                recorder_deterministic ? "true" : "false");
+                resident.plain_s, resident.recorded_s, resident_overhead_pct,
+                static_cast<unsigned long long>(resident.serial_dump.recorded),
+                static_cast<unsigned long long>(
+                    resident.serial_dump.overwritten),
+                kResidentCapacity,
+                resident.deterministic ? "true" : "false");
   json += buffer;
   json += std::string("  \"deterministic\": ") +
-          (deterministic ? "true" : "false") +
+          (traced.deterministic ? "true" : "false") +
           ",\n  \"smoke\": " + (smoke ? "true" : "false") + "\n}\n";
   std::printf("\n%s", json.c_str());
   if (const char* dir = std::getenv("BIOSENS_EXPORT_DIR")) {
@@ -331,13 +317,15 @@ int main(int argc, char** argv) {
 
   benchmark::RegisterBenchmark(
       "BM_TracedPanelAssay", [&](benchmark::State& state) {
-        obs::TraceSession s;
-        s.start();
+        obs::FlightRecorderOptions recorder_options;
+        recorder_options.ring_capacity_per_thread = kTraceCapacity;
+        obs::FlightRecorder recorder(recorder_options);
+        recorder.install();
         Rng rng(7);
         for (auto _ : state) {
           benchmark::DoNotOptimize(platform.assay(samples[0], rng));
         }
-        s.stop();
+        recorder.uninstall();
       });
   benchmark::RegisterBenchmark(
       "BM_UntracedPanelAssay", [&](benchmark::State& state) {

@@ -31,12 +31,17 @@
 #                         try_* entries + fixture self-test; reuses
 #                         stage 1's compile_commands.json and caches
 #                         the extracted per-file graphs in build-ci/
+#  12. e2e                the end-to-end benchmark's own tests
+#                         (e2ebench/test_e2ebench.py): builds e2ebench/
+#                         from src/ and runs every workload briefly, so
+#                         a src/ API change cannot break it unnoticed
 #
 # A per-stage wall-time summary table is printed at the end of the run.
 #
 #   ci/check.sh            # everything
 #   ci/check.sh <stage>    # one stage: lint|format|tidy|release|tsan|
-#                          #            ubsan|asan|perf|obs|service|graph
+#                          #            ubsan|asan|perf|obs|service|graph|
+#                          #            e2e
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -72,7 +77,7 @@ print_summary() {
 }
 
 run_lint() {
-  echo "=== [1/11] biosens-lint: AST-level invariant checks ==="
+  echo "=== [1/12] biosens-lint: AST-level invariant checks ==="
   # Configure-only pass so build-ci/compile_commands.json exists for
   # the clang backends here and in stage 11 (CMakeLists exports it).
   if [ ! -f build-ci/compile_commands.json ]; then
@@ -80,10 +85,11 @@ run_lint() {
   fi
   # tools/lint/biosens_lint.py replaces the old grep lints: it lexes
   # real C++ tokens (strings, comments and multi-line statements can
-  # no longer fool it) and enforces throw-discipline, span-discipline,
-  # span-temporary, determinism-discipline, expected-discard,
-  # nodiscard-decl, hot-path-discipline, service-discipline (every
-  # queue in src/service/ must be bounded) and stale-suppression
+  # no longer fool it) and enforces throw-discipline,
+  # recorder-discipline, span-temporary, determinism-discipline,
+  # expected-discard, nodiscard-decl, hot-path-discipline,
+  # service-discipline (every queue in src/service/ must be bounded),
+  # transducer-discipline and stale-suppression
   # (allow() directives must earn their keep). Check ids, rationale
   # and the allow() suppression syntax: docs/static-analysis.md.
   python3 tools/lint/biosens_lint.py --jobs "${JOBS}" src
@@ -94,7 +100,7 @@ run_lint() {
 }
 
 run_format() {
-  echo "=== [2/11] clang-format: check-only formatting gate ==="
+  echo "=== [2/12] clang-format: check-only formatting gate ==="
   if ! command -v clang-format > /dev/null 2>&1; then
     echo "format: clang-format not installed — stage skipped"
     return 0
@@ -106,7 +112,7 @@ run_format() {
 }
 
 run_tidy() {
-  echo "=== [3/11] clang-tidy: bugprone/performance/concurrency baseline ==="
+  echo "=== [3/12] clang-tidy: bugprone/performance/concurrency baseline ==="
   if ! command -v clang-tidy > /dev/null 2>&1; then
     echo "tidy: clang-tidy not installed — stage skipped"
     return 0
@@ -126,7 +132,7 @@ run_tidy() {
 }
 
 run_release() {
-  echo "=== [4/11] Release build (BIOSENS_WERROR=ON) + full test suite ==="
+  echo "=== [4/12] Release build (BIOSENS_WERROR=ON) + full test suite ==="
   # CI promotes the hardened src/ warning set to errors so a new
   # warning cannot land silently; local builds default it off.
   cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release -DBIOSENS_WERROR=ON
@@ -135,7 +141,7 @@ run_release() {
 }
 
 run_tsan() {
-  echo "=== [5/11] ThreadSanitizer: engine tests ==="
+  echo "=== [5/12] ThreadSanitizer: engine tests ==="
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DBIOSENS_SANITIZE=thread
@@ -147,7 +153,7 @@ run_tsan() {
 }
 
 run_ubsan() {
-  echo "=== [6/11] UndefinedBehaviorSanitizer: error-path tests ==="
+  echo "=== [6/12] UndefinedBehaviorSanitizer: error-path tests ==="
   cmake -B build-ubsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DBIOSENS_SANITIZE=undefined
@@ -159,7 +165,7 @@ run_ubsan() {
 }
 
 run_asan() {
-  echo "=== [7/11] AddressSanitizer+LeakSanitizer: allocation-bearing tests ==="
+  echo "=== [7/12] AddressSanitizer+LeakSanitizer: allocation-bearing tests ==="
   # The engine's worker pool, the sharded sim-cache LRU and the obs
   # per-thread buffers own the bulk of the dynamic allocations; ASan
   # with leak detection guards use-after-free and unreleased buffers.
@@ -174,7 +180,7 @@ run_asan() {
 }
 
 run_perf() {
-  echo "=== [8/11] Perf smoke: solver step rate + service throughput ==="
+  echo "=== [8/12] Perf smoke: solver step rate + service throughput ==="
   # A reduced-configuration run of the kernel bench (BIOSENS_SMOKE=1
   # shrinks the step/patient counts and skips the google-benchmark
   # timings; the per-step rate it prints is comparable to the full
@@ -307,7 +313,7 @@ run_perf() {
 }
 
 run_obs() {
-  echo "=== [9/11] Observability smoke: traced batch + exporter validation ==="
+  echo "=== [9/12] Observability smoke: traced batch + exporter validation ==="
   # One small traced service run must yield a Chrome trace that loads
   # in Perfetto (valid JSON, balanced begin/end nesting per thread) and
   # a Prometheus exposition with well-formed cumulative histograms.
@@ -399,7 +405,7 @@ PY
 }
 
 run_service() {
-  echo "=== [10/11] Service smoke: streaming sessions under overload ==="
+  echo "=== [10/12] Service smoke: streaming sessions under overload ==="
   cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-ci -j "${JOBS}" --target service_demo test_service
   svc_dir="$(mktemp -d)"
@@ -538,7 +544,7 @@ PY
 }
 
 run_graph() {
-  echo "=== [11/11] biosens-graph: whole-program transitive checks ==="
+  echo "=== [11/12] biosens-graph: whole-program transitive checks ==="
   # tools/analyze/biosens_graph.py builds the project include graph and
   # a function-level call graph, then enforces the properties a
   # single-file linter cannot see: hot-path-transitive (BIOSENS_HOT
@@ -565,6 +571,15 @@ run_graph() {
   echo "graph: OK"
 }
 
+run_e2e() {
+  echo "=== [12/12] End-to-end benchmark: its own tests (quick mode) ==="
+  # Neither the release stage nor CTest compiles e2ebench/; its tests
+  # build it from src/ the way python3 e2ebench/run.py does, then check
+  # the self-test binary, quick runs of every workload and the
+  # BENCHMARK.json manifest.
+  python3 e2ebench/test_e2ebench.py
+}
+
 case "${STAGE}" in
   lint)    run_stage lint    run_lint ;;
   format)  run_stage format  run_format ;;
@@ -577,6 +592,7 @@ case "${STAGE}" in
   obs)     run_stage obs     run_obs ;;
   service) run_stage service run_service ;;
   graph)   run_stage graph   run_graph ;;
+  e2e)     run_stage e2e     run_e2e ;;
   all)     run_stage lint    run_lint
            run_stage format  run_format
            run_stage tidy    run_tidy
@@ -587,8 +603,9 @@ case "${STAGE}" in
            run_stage perf    run_perf
            run_stage obs     run_obs
            run_stage service run_service
-           run_stage graph   run_graph ;;
-  *) echo "usage: ci/check.sh [lint|format|tidy|release|tsan|ubsan|asan|perf|obs|service|graph|all]" >&2
+           run_stage graph   run_graph
+           run_stage e2e     run_e2e ;;
+  *) echo "usage: ci/check.sh [lint|format|tidy|release|tsan|ubsan|asan|perf|obs|service|graph|e2e|all]" >&2
      exit 2 ;;
 esac
 print_summary

@@ -14,11 +14,16 @@
 // exits nonzero.
 //
 // Backpressure is part of the show: the service is configured with a
-// small per-session queue, so submissions outrun the workers and come
-// back as structured ErrorCode::kOverloaded results carrying the tenant
-// and a retry-after hint — which the demo honors instead of crashing.
+// small per-session queue, and the first patient's measurements are
+// held until the queue has overflowed once (IncidentGate), so
+// submissions come back as structured ErrorCode::kOverloaded results
+// carrying the tenant and a retry-after hint — which the demo honors
+// instead of crashing.
 //
-// Observability flags (docs/observability.md, docs/operations.md):
+// Observability flags (docs/observability.md, docs/operations.md). Any
+// of them installs the flight recorder for the primary day; the trace
+// artifacts render its dump, so tracing sizes its rings to keep every
+// event:
 //   --trace-out=FILE    Chrome trace-event JSON (service spans + async
 //                       queue-wait intervals; open in Perfetto)
 //   --metrics-out=FILE  Prometheus text exposition: per-class SLO
@@ -36,6 +41,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,7 +54,6 @@
 #include "obs/export_jsonl.hpp"
 #include "obs/export_prometheus.hpp"
 #include "obs/recorder.hpp"
-#include "obs/span.hpp"
 #include "service/service.hpp"
 
 using namespace biosens;
@@ -215,6 +220,32 @@ struct IntrospectLog {
   bool degraded_captured = false;
 };
 
+/// The staged incident: the first patient's measurements wait on this
+/// gate until the producer has been turned away once, so the shallow
+/// session queue overflows on every run instead of only when the
+/// workers happen to fall behind. It changes timing only: the accepted
+/// sequence, and so every stream, is the same either way.
+class IncidentGate {
+ public:
+  service::SessionBody hold(service::SessionBody body) const {
+    return [gate = gate_, body = std::move(body)](
+               service::SessionContext& c) -> Expected<double> {
+      gate.wait();
+      return body(c);
+    };
+  }
+  void release() {
+    if (released_) return;
+    released_ = true;
+    promise_.set_value();
+  }
+
+ private:
+  std::promise<void> promise_;
+  std::shared_future<void> gate_ = promise_.get_future().share();
+  bool released_ = false;
+};
+
 /// Submits one measurement, honoring backpressure: on kOverloaded the
 /// demo waits for the session to drain its queue (the retry_after hint
 /// tells a remote caller how long to back off; in-process we can wait
@@ -223,7 +254,8 @@ struct IntrospectLog {
 void submit_honoring_backpressure(service::SimulationService& svc,
                                   service::SessionId id,
                                   DayOutcome& outcome,
-                                  IntrospectLog* introspect) {
+                                  IntrospectLog* introspect,
+                                  IncidentGate& incident) {
   for (;;) {
     auto submitted = svc.try_submit_measurement(id);
     if (submitted.has_value()) return;
@@ -243,6 +275,7 @@ void submit_honoring_backpressure(service::SimulationService& svc,
       introspect->degraded_captured = true;
       introspect->probes.push_back(svc.introspection_report().to_json());
     }
+    incident.release();
     must_ok(svc.try_wait_idle(id), "wait_idle after overload");
   }
 }
@@ -259,6 +292,7 @@ DayOutcome run_day(const DemoConfig& config, bool interrupted,
   // Deliberately shallow so backpressure is observable in the demo.
   options.max_pending_per_session = 8;
   service::SimulationService svc(options);
+  IncidentGate incident;
 
   std::vector<service::SessionId> ids(kPatients);
   for (std::size_t p = 0; p < kPatients; ++p) {
@@ -266,7 +300,8 @@ DayOutcome run_day(const DemoConfig& config, bool interrupted,
     session.tenant = kRoster[p].tenant;
     session.priority = kRoster[p].priority;
     session.seed = kRoster[p].seed;
-    session.body = body_for(kRoster[p]);
+    session.body = p == 0 ? incident.hold(body_for(kRoster[p]))
+                          : body_for(kRoster[p]);
     session.initial_state = {0.0};  // accumulated physiological drift
     ids[p] = must(svc.try_open_session(std::move(session)), "open_session");
   }
@@ -279,11 +314,13 @@ DayOutcome run_day(const DemoConfig& config, bool interrupted,
   for (std::size_t wave = 0; wave < config.waves; ++wave) {
     for (std::size_t p = 0; p < kPatients; ++p) {
       for (std::size_t s = 0; s < config.samples_per_wave; ++s) {
-        submit_honoring_backpressure(svc, ids[p], outcome, introspect);
+        submit_honoring_backpressure(svc, ids[p], outcome, introspect,
+                                     incident);
         if (s % 8 == 7) {
           must_ok(svc.try_advance_time(ids[p], 300.0), "advance_time");
         }
       }
+      incident.release();  // too few samples to overflow the queue
     }
     svc.drain();
 
@@ -360,21 +397,14 @@ DayOutcome run_day(const DemoConfig& config, bool interrupted,
     std::printf("\n");
   }
 
-  const bool tracing = !config.trace_out.empty() ||
-                       !config.metrics_out.empty() ||
-                       !config.events_out.empty();
-  if (verbose && tracing) {
-    obs::TraceSession* session = obs::TraceSession::current();
-    if (session != nullptr) {
-      // Metrics must be written while the service is alive; the trace
-      // session itself is exported by main after stop().
-      if (!config.metrics_out.empty()) {
-        Table::write_file(config.metrics_out,
-                          svc.prometheus_text(session));
-        std::printf("wrote Prometheus metrics to %s\n",
-                    config.metrics_out.c_str());
-      }
-    }
+  const obs::FlightRecorder* recorder = obs::FlightRecorder::current();
+  if (verbose && recorder != nullptr && !config.metrics_out.empty()) {
+    // Metrics must be written while the service is alive; the trace
+    // itself is exported by main after uninstall().
+    const obs::RecorderDump trace = recorder->dump();
+    Table::write_file(config.metrics_out, svc.prometheus_text(&trace));
+    std::printf("wrote Prometheus metrics to %s\n",
+                config.metrics_out.c_str());
   }
   return outcome;
 }
@@ -391,20 +421,19 @@ int main(int argc, char** argv) {
   const bool tracing = !config.trace_out.empty() ||
                        !config.metrics_out.empty() ||
                        !config.events_out.empty();
-  obs::TraceSession session;
-  if (tracing) session.start();
+  const bool recording =
+      !config.recorder_out.empty() || !config.introspect_out.empty();
 
   // Flight recorder for the primary day: its first kOverloaded rejection
   // auto-dumps the recent-event rings (with the rejected tenant's tail)
   // to --recorder-out. Job-failure triggering stays off — QC rejections
   // are routine in this workload; the overload is the staged incident.
-  const bool recording =
-      !config.recorder_out.empty() || !config.introspect_out.empty();
   obs::FlightRecorderOptions recorder_options;
   recorder_options.auto_dump_path = config.recorder_out;
   recorder_options.trigger_on_job_failure = false;
+  if (tracing) recorder_options.ring_capacity_per_thread = 1u << 20;
   obs::FlightRecorder recorder(recorder_options);
-  if (recording) recorder.install();
+  if (tracing || recording) recorder.install();
 
   IntrospectLog introspect;
   IntrospectLog* probes =
@@ -414,18 +443,19 @@ int main(int argc, char** argv) {
   const DayOutcome primary =
       run_day(config, /*interrupted=*/true, /*verbose=*/true, probes);
 
+  recorder.uninstall();
   if (recording) {
-    recorder.uninstall();
-    std::printf(
-        "flight recorder: %llu events recorded, %llu triggers%s%s\n",
-        static_cast<unsigned long long>(recorder.recorded_events()),
-        static_cast<unsigned long long>(recorder.trigger_count()),
-        recorder.triggered() && !config.recorder_out.empty()
-            ? "; auto-dumped to "
-            : "",
-        recorder.triggered() && !config.recorder_out.empty()
-            ? config.recorder_out.c_str()
-            : "");
+    std::string auto_dump;
+    if (recorder.triggered() && !config.recorder_out.empty()) {
+      auto_dump = recorder.auto_dump_written()
+                      ? "; auto-dumped to " + config.recorder_out
+                      : "; auto-dump to " + config.recorder_out +
+                            " FAILED (file not written)";
+    }
+    std::printf("flight recorder: %llu events recorded, %llu triggers%s\n",
+                static_cast<unsigned long long>(recorder.recorded_events()),
+                static_cast<unsigned long long>(recorder.trigger_count()),
+                auto_dump.c_str());
   }
   if (probes != nullptr) {
     std::string doc = "[\n";
@@ -441,15 +471,14 @@ int main(int argc, char** argv) {
   }
 
   if (tracing) {
-    session.stop();
+    const obs::RecorderDump trace = recorder.dump();
     if (!config.trace_out.empty()) {
-      obs::write_chrome_trace(session, config.trace_out);
-      std::printf("wrote Chrome trace (%llu events) to %s\n",
-                  static_cast<unsigned long long>(session.event_count()),
-                  config.trace_out.c_str());
+      obs::write_chrome_trace(trace, config.trace_out);
+      std::printf("wrote Chrome trace (%zu events) to %s\n",
+                  trace.events.size(), config.trace_out.c_str());
     }
     if (!config.events_out.empty()) {
-      obs::write_jsonl_events(session, config.events_out);
+      obs::write_jsonl_events(trace, config.events_out);
       std::printf("wrote JSONL event log to %s\n",
                   config.events_out.c_str());
     }

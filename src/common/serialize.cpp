@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <limits>
 
 namespace biosens::serialize {
 namespace {
@@ -19,6 +20,25 @@ Expected<std::vector<std::string>> fields_of(const std::string& line) {
     i = j;
   }
   return fields;
+}
+
+/// A decimal count or array length; `what` names the field in errors.
+/// Values past 2^64 - 1 are rejected instead of wrapping.
+Expected<std::uint64_t> try_parse_decimal(const std::string& digits,
+                                          const std::string& what) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t value = 0;
+  for (const char c : digits) {
+    BIOSENS_EXPECT(c >= '0' && c <= '9', ErrorCode::kSpec, kLayer,
+                   "kv_read",
+                   what + " is not decimal: '" + digits + "'");
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    BIOSENS_EXPECT(value <= (kMax - digit) / 10, ErrorCode::kSpec, kLayer,
+                   "kv_read",
+                   what + " overflows 64 bits: '" + digits + "'");
+    value = value * 10 + digit;
+  }
+  return value;
 }
 
 }  // namespace
@@ -157,16 +177,8 @@ Expected<double> KvReader::try_f64(std::string_view key) {
 Expected<std::uint64_t> KvReader::try_count(std::string_view key) {
   auto fields = try_line(key, 2);
   if (!fields.has_value()) return fields.error();
-  const std::string& digits = fields.value()[1];
-  std::uint64_t value = 0;
-  for (const char c : digits) {
-    BIOSENS_EXPECT(c >= '0' && c <= '9', ErrorCode::kSpec, kLayer,
-                   "kv_read",
-                   "count for key '" + std::string(key) +
-                       "' is not decimal: '" + digits + "'");
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
+  return try_parse_decimal(fields.value()[1],
+                           "count for key '" + std::string(key) + "'");
 }
 
 Expected<std::string> KvReader::try_text(std::string_view key) {
@@ -178,12 +190,10 @@ Expected<std::vector<double>> KvReader::try_f64_array(std::string_view key) {
   auto fields = try_line(key, 2);
   if (!fields.has_value()) return fields.error();
   const std::vector<std::string>& f = fields.value();
-  std::uint64_t declared = 0;
-  for (const char c : f[1]) {
-    BIOSENS_EXPECT(c >= '0' && c <= '9', ErrorCode::kSpec, kLayer,
-                   "kv_read", "array length is not decimal: '" + f[1] + "'");
-    declared = declared * 10 + static_cast<std::uint64_t>(c - '0');
-  }
+  auto length = try_parse_decimal(
+      f[1], "length of array '" + std::string(key) + "'");
+  if (!length.has_value()) return length.error();
+  const std::uint64_t declared = length.value();
   BIOSENS_EXPECT(f.size() == declared + 2, ErrorCode::kSpec, kLayer,
                  "kv_read",
                  "array '" + std::string(key) + "' declares " +
@@ -204,12 +214,10 @@ Expected<std::vector<std::uint64_t>> KvReader::try_u64_array(
   auto fields = try_line(key, 2);
   if (!fields.has_value()) return fields.error();
   const std::vector<std::string>& f = fields.value();
-  std::uint64_t declared = 0;
-  for (const char c : f[1]) {
-    BIOSENS_EXPECT(c >= '0' && c <= '9', ErrorCode::kSpec, kLayer,
-                   "kv_read", "array length is not decimal: '" + f[1] + "'");
-    declared = declared * 10 + static_cast<std::uint64_t>(c - '0');
-  }
+  auto length = try_parse_decimal(
+      f[1], "length of array '" + std::string(key) + "'");
+  if (!length.has_value()) return length.error();
+  const std::uint64_t declared = length.value();
   BIOSENS_EXPECT(f.size() == declared + 2, ErrorCode::kSpec, kLayer,
                  "kv_read",
                  "array '" + std::string(key) + "' declares " +

@@ -207,9 +207,6 @@ PanelBatchResult Platform::run_panel_batch(
   batch.seed = options.seed;
   batch.retry = options.retry;
   {
-    // Engine::run may start the engine's own trace session, so this
-    // span only appears when the caller holds a session open across the
-    // batch (it would otherwise begin before the session exists).
     const obs::ObsSpan span(Layer::kCore, "run-panel-batch");
     result.jobs = engine.run(jobs, batch);
   }

@@ -65,8 +65,7 @@ void run_one_job(Engine& engine, const JobSpec& job, std::size_t index,
       const Time backoff = options.retry.backoff_before_attempt(attempt);
       out.simulated_backoff += backoff;
       metrics.add_backoff_seconds(backoff.seconds());
-      obs::TraceSession::instant(Layer::kEngine, "retry-backoff",
-                                 job.name);
+      obs::instant(Layer::kEngine, "retry-backoff", job.name);
     }
 
     JobContext context{index, attempt, job_rng.child(attempt)};
@@ -164,7 +163,7 @@ std::vector<JobReport> BatchRunner::run(const std::vector<JobSpec>& jobs,
                                       submitted[i])
             .count();
     metrics.queue_wait.record(waited);
-    obs::TraceSession::async_end(Layer::kEngine, "queue-wait", i);
+    obs::async_end(Layer::kEngine, "queue-wait", i, submitted[i]);
     std::mutex* instrument = nullptr;
     if (jobs[i].affinity != kNoAffinity) {
       instrument = affinity_locks.at(jobs[i].affinity).get();
@@ -175,7 +174,6 @@ std::vector<JobReport> BatchRunner::run(const std::vector<JobSpec>& jobs,
 
   auto mark_submitted = [&](std::size_t i) {
     metrics.jobs_submitted.increment();
-    obs::TraceSession::async_begin(Layer::kEngine, "queue-wait", i);
     submitted[i] = std::chrono::steady_clock::now();
   };
 

@@ -1,32 +1,8 @@
 #include "engine/engine.hpp"
 
 #include "common/error.hpp"
-#include "obs/span.hpp"
 
 namespace biosens::engine {
-namespace {
-
-/// Starts the engine's trace session for one batch and stops it after,
-/// leaving the events in place for export. A session the caller already
-/// started is left alone (the caller owns its window).
-class TraceScope {
- public:
-  explicit TraceScope(obs::TraceSession* session)
-      : session_(session != nullptr && !session->active() ? session
-                                                          : nullptr) {
-    if (session_ != nullptr) session_->start();
-  }
-  ~TraceScope() {
-    if (session_ != nullptr) session_->stop();
-  }
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-
- private:
-  obs::TraceSession* session_;
-};
-
-}  // namespace
 
 Engine::Engine(EngineOptions options)
     : options_(options),
@@ -62,7 +38,6 @@ Engine::Engine(EngineOptions options)
 
 std::vector<JobReport> Engine::run(const std::vector<JobSpec>& jobs,
                                    const BatchOptions& options) {
-  TraceScope scope(options_.trace);
   std::vector<JobReport> reports = BatchRunner(*this).run(jobs, options);
   // One time-series point per batch: enough for cross-batch rates
   // without any background thread.
@@ -96,9 +71,8 @@ MetricsSnapshot Engine::snapshot() const {
   return metrics_.snapshot(window_.elapsed_seconds());
 }
 
-std::string Engine::prometheus_text(const obs::TraceSession* trace) const {
-  return prometheus_exposition(metrics_, window_.elapsed_seconds(),
-                               trace != nullptr ? trace : options_.trace);
+std::string Engine::prometheus_text(const obs::RecorderDump* trace) const {
+  return prometheus_exposition(metrics_, window_.elapsed_seconds(), trace);
 }
 
 void Engine::reset_metrics() {

@@ -20,7 +20,7 @@
 #include "obs/health.hpp"
 
 namespace biosens::obs {
-class TraceSession;
+struct RecorderDump;
 }  // namespace biosens::obs
 
 namespace biosens::engine {
@@ -49,12 +49,6 @@ struct EngineOptions {
   /// per-field path — so it defaults on; disable to benchmark the
   /// serial reference.
   bool cohort_batching = true;
-  /// Optional tracing session (not owned). When set and not already
-  /// active, each run() starts it before the batch and stops it after,
-  /// so the session holds the last batch's trace for export. Tracing
-  /// never touches job Rng streams — results stay byte-identical with
-  /// tracing on or off (docs/observability.md).
-  obs::TraceSession* trace = nullptr;
   /// Soft deadline per job for the engine watchdog; 0 disables it (the
   /// default — batch runs are finite, residents opt in). Observation
   /// only: an overdue job is reported, never cancelled.
@@ -114,10 +108,10 @@ class Engine {
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Prometheus text exposition of the current window; includes the
-  /// per-layer span histograms of `trace` (defaults to options_.trace)
-  /// when available.
+  /// per-layer span histograms computed from `trace` (a flight-recorder
+  /// dump) when given.
   [[nodiscard]] std::string prometheus_text(
-      const obs::TraceSession* trace = nullptr) const;
+      const obs::RecorderDump* trace = nullptr) const;
 
   void reset_metrics();
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "obs/export_prometheus.hpp"
-#include "obs/span.hpp"
 
 namespace biosens::engine {
 namespace {
@@ -150,7 +149,7 @@ void MetricsRegistry::reset() {
 
 std::string prometheus_exposition(const MetricsRegistry& metrics,
                                   double wall_seconds,
-                                  const obs::TraceSession* trace) {
+                                  const obs::RecorderDump* trace) {
   const MetricsSnapshot s = metrics.snapshot(wall_seconds);
   obs::PrometheusWriter w;
   obs::append_build_info(w);

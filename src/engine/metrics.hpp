@@ -22,7 +22,7 @@
 #include "obs/instruments.hpp"
 
 namespace biosens::obs {
-class TraceSession;
+struct RecorderDump;
 }  // namespace biosens::obs
 
 namespace biosens::engine {
@@ -102,7 +102,8 @@ class MetricsRegistry {
   Counter batch_factorizations;
   LatencyHistogram attempt_latency;
   /// Per-job submit -> worker-start delta (batch_runner records it
-  /// unconditionally; tracing merely adds the async trace events).
+  /// unconditionally; an installed recorder also gets one queue-wait
+  /// event per job).
   LatencyHistogram queue_wait;
 
   void record_failure(ErrorCode code) {
@@ -125,11 +126,12 @@ class MetricsRegistry {
 
 /// Prometheus text exposition (0.0.4) of the registry: job counters,
 /// failure breakdown, sim-cache traffic, attempt/queue-wait histograms,
-/// throughput/utilization gauges. When `trace` is non-null its
-/// per-layer span histograms are appended, giving bench artifacts and
-/// the batch service one scrape-able format.
+/// throughput/utilization gauges. When `trace` (a flight-recorder dump)
+/// is non-null, per-layer span histograms computed from it are
+/// appended, giving bench artifacts and the batch service one
+/// scrape-able format.
 [[nodiscard]] std::string prometheus_exposition(
     const MetricsRegistry& metrics, double wall_seconds,
-    const obs::TraceSession* trace = nullptr);
+    const obs::RecorderDump* trace = nullptr);
 
 }  // namespace biosens::engine

@@ -38,11 +38,11 @@ SimCache::ValuePtr SimCache::find(const CacheKey& key) {
   if (value) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     if (metrics_ != nullptr) metrics_->cache_hits.increment();
-    obs::TraceSession::instant(Layer::kEngine, "sim-cache-hit");
+    obs::instant(Layer::kEngine, "sim-cache-hit");
   } else {
     misses_.fetch_add(1, std::memory_order_relaxed);
     if (metrics_ != nullptr) metrics_->cache_misses.increment();
-    obs::TraceSession::instant(Layer::kEngine, "sim-cache-miss");
+    obs::instant(Layer::kEngine, "sim-cache-miss");
   }
   return value;
 }

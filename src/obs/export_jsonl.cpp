@@ -2,47 +2,28 @@
 
 #include "common/table.hpp"
 #include "obs/json_util.hpp"
-#include "obs/span.hpp"
+#include "obs/recorder.hpp"
 
 namespace biosens::obs {
 
-std::string jsonl_events(const TraceSession& session) {
+std::string jsonl_events(const RecorderDump& dump) {
   std::string out;
-  for (const ThreadTrack& track : session.tracks()) {
-    for (const SpanEvent& event : track.events) {
-      out += "{\"tid\":";
-      out += std::to_string(track.tid);
-      out += ",\"phase\":\"";
-      out += to_string(event.phase);
-      out += "\",\"layer\":\"";
-      out += to_string(event.layer);
-      out += "\",\"name\":\"";
-      out += json_escape(event.name);
-      out += "\",\"ts_ns\":";
-      out += std::to_string(event.ts_ns);
-      if (event.phase == EventPhase::kAsyncBegin ||
-          event.phase == EventPhase::kAsyncEnd) {
-        out += ",\"id\":";
-        out += std::to_string(event.id);
-      }
-      if (event.phase == EventPhase::kEnd) {
-        out += ",\"failed\":";
-        out += event.failed ? "true" : "false";
-      }
-      if (!event.detail.empty()) {
-        out += ",\"detail\":\"";
-        out += json_escape(event.detail);
-        out += "\"";
-      }
-      out += "}\n";
+  for (const RecorderEvent& event : dump.events) {
+    out += "{\"tid\":";
+    out += std::to_string(event.tid);
+    if (event.event.phase == EventPhase::kAsyncEnd) {
+      out += ",\"id\":";
+      out += std::to_string(event.event.id);
     }
+    out += ",";
+    append_event_fields(out, event);
+    out += "}\n";
   }
   return out;
 }
 
-void write_jsonl_events(const TraceSession& session,
-                        const std::string& path) {
-  Table::write_file(path, jsonl_events(session));
+void write_jsonl_events(const RecorderDump& dump, const std::string& path) {
+  Table::write_file(path, jsonl_events(dump));
 }
 
 }  // namespace biosens::obs

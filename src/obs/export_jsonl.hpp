@@ -1,18 +1,19 @@
-// JSONL event-log exporter: one JSON object per line per recorded
-// event, in per-thread chronological order. The post-mortem format —
-// greppable (`grep '"failed":true'`), streamable, and trivially
-// parseable line-by-line without loading the whole trace.
+// JSONL event-log exporter: one JSON object per line per event of a
+// flight-recorder dump, in timestamp order — the dump's event schema
+// (docs/operations.md) prefixed with the recording thread's tid (and,
+// for queue waits, the async correlation id). The
+// post-mortem format: greppable (`grep '"failed":true'`), streamable,
+// and trivially parseable line-by-line without loading the whole trace.
 #pragma once
 
 #include <string>
 
 namespace biosens::obs {
 
-class TraceSession;
+struct RecorderDump;
 
-[[nodiscard]] std::string jsonl_events(const TraceSession& session);
+[[nodiscard]] std::string jsonl_events(const RecorderDump& dump);
 
-void write_jsonl_events(const TraceSession& session,
-                        const std::string& path);
+void write_jsonl_events(const RecorderDump& dump, const std::string& path);
 
 }  // namespace biosens::obs

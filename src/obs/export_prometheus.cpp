@@ -3,8 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "obs/instruments.hpp"
-#include "obs/span.hpp"
+#include "obs/recorder.hpp"
 
 namespace biosens::obs {
 namespace {
@@ -130,11 +129,21 @@ void append_build_info(PrometheusWriter& writer) {
                1.0, labels);
 }
 
+LayerSpanStats::LayerSpanStats(const RecorderDump& dump) {
+  for (const RecorderEvent& ev : dump.events) {
+    const auto index = static_cast<std::size_t>(ev.event.layer);
+    if (ev.event.phase != EventPhase::kEnd || index >= kLayerCount) continue;
+    latency[index].record(static_cast<double>(ev.dur_ns) * 1e-9);
+    if (ev.event.failed) ++failures[index];
+  }
+}
+
 void append_layer_metrics(PrometheusWriter& writer,
-                          const TraceSession& session) {
+                          const RecorderDump& dump) {
+  const LayerSpanStats stats(dump);
   for (std::size_t i = 0; i < kLayerCount; ++i) {
     const auto layer = static_cast<Layer>(i);
-    const LatencyHistogram& latency = session.layer_latency(layer);
+    const LatencyHistogram& latency = stats.latency[i];
     if (latency.count() == 0) continue;
     std::string labels = "layer=\"";
     labels += to_string(layer);
@@ -144,7 +153,7 @@ void append_layer_metrics(PrometheusWriter& writer,
                      labels);
     writer.counter("biosens_layer_span_failures_total",
                    "Failed spans per library layer",
-                   session.layer_failures(layer), labels);
+                   stats.failures[i], labels);
   }
 }
 

@@ -4,19 +4,22 @@
 // PrometheusWriter is the format layer; the engine composes the actual
 // exposition (engine::prometheus_exposition renders MetricsRegistry
 // counters, queue-wait and attempt histograms, and sim-cache counters),
-// and append_layer_metrics adds the per-layer latency attribution a
-// TraceSession collected. One format for bench artifacts and the batch
-// service's --metrics-out.
+// and append_layer_metrics adds the per-layer latency attribution
+// computed from a flight-recorder dump. One format for bench artifacts
+// and the batch service's --metrics-out.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
 
+#include "common/expected.hpp"
+#include "obs/instruments.hpp"
+
 namespace biosens::obs {
 
-class LatencyHistogram;
-class TraceSession;
+struct RecorderDump;
 
 /// Appends metric families to a text buffer. # HELP / # TYPE headers
 /// are emitted once per family name (repeat calls with the same family
@@ -46,10 +49,21 @@ class PrometheusWriter {
   std::string seen_families_;  // ",family," markers
 };
 
-/// Per-layer latency histograms and failure counters from a trace
-/// session (layers with no recorded spans are skipped).
+/// Inclusive span latency and failures per layer, computed from a
+/// dump's span end events. Nested spans each count toward their own
+/// layer (a chem span inside an electrochem span adds to both), so
+/// layer totals overlap and do not sum to wall time.
+struct LayerSpanStats {
+  explicit LayerSpanStats(const RecorderDump& dump);
+
+  std::array<LatencyHistogram, kLayerCount> latency{};
+  std::array<std::uint64_t, kLayerCount> failures{};
+};
+
+/// Per-layer latency histograms and failure counters from a dump
+/// (layers with no recorded spans are skipped).
 void append_layer_metrics(PrometheusWriter& writer,
-                          const TraceSession& session);
+                          const RecorderDump& dump);
 
 /// The conventional `biosens_build_info` gauge (value 1, identity in
 /// the labels: compiler and C++ standard), so every scrape can be

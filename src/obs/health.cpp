@@ -212,6 +212,7 @@ void fill_recorder_stats(IntrospectionReport& report) {
   if (recorder == nullptr) return;
   report.recorder_installed = true;
   report.recorder_triggered = recorder->triggered();
+  report.recorder_dump_written = recorder->auto_dump_written();
   report.recorder_events = recorder->recorded_events();
   report.recorder_overwritten = recorder->overwritten_events();
   report.recorder_triggers = recorder->trigger_count();
@@ -243,6 +244,8 @@ std::string IntrospectionReport::to_json() const {
   out += recorder_installed ? "true" : "false";
   out += ",\"triggered\":";
   out += recorder_triggered ? "true" : "false";
+  out += ",\"dump_written\":";
+  out += recorder_dump_written ? "true" : "false";
   out += ",\"events\":";
   out += std::to_string(recorder_events);
   out += ",\"overwritten\":";
@@ -283,6 +286,8 @@ std::string IntrospectionReport::to_text() const {
   out += "\n";
   out += "  recorder: installed=";
   out += recorder_installed ? "yes" : "no";
+  out += " dump_written=";
+  out += recorder_dump_written ? "yes" : "no";
   out += " events=" + std::to_string(recorder_events);
   out += " overwritten=" + std::to_string(recorder_overwritten);
   out += " triggers=" + std::to_string(recorder_triggers);

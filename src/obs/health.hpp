@@ -173,6 +173,7 @@ struct IntrospectionReport {
   // Flight recorder (the process-wide one, when installed).
   bool recorder_installed = false;
   bool recorder_triggered = false;
+  bool recorder_dump_written = false;  ///< the latched dump reached its file
   std::uint64_t recorder_events = 0;
   std::uint64_t recorder_overwritten = 0;
   std::uint64_t recorder_triggers = 0;

@@ -2,8 +2,8 @@
 //
 // Counter, Stopwatch, and LatencyHistogram started life inside the
 // engine's metrics registry; the observability subsystem needs the same
-// primitives one layer lower (per-layer latency attribution in
-// TraceSession, histogram exposition in the Prometheus exporter), so
+// primitives one layer lower (per-layer latency attribution and
+// histogram exposition in the Prometheus exporter), so
 // they live here and engine/metrics.hpp re-exports them under its old
 // names. All hot-path operations are single relaxed atomics — no locks
 // are ever taken while instrumented code runs.

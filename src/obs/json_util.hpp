@@ -1,7 +1,7 @@
-// Minimal JSON string escaping shared by the Chrome-trace and JSONL
-// exporters. Only the writer-side subset: escape a string for use
-// inside double quotes. (No parser — CI validates the emitted files
-// with an external JSON parser.)
+// Minimal JSON writing shared by the flight-recorder dump and the
+// exporters: escape a string for use inside double quotes, and render
+// one recorded event's fields. (No parser — CI validates the emitted
+// files with an external JSON parser.)
 #pragma once
 
 #include <cstdint>
@@ -10,6 +10,14 @@
 #include <string_view>
 
 namespace biosens::obs {
+
+struct RecorderEvent;
+
+/// The fields of one event object in the dump schema
+/// (docs/operations.md), without the enclosing braces:
+/// `"ts_ns":...,"phase":...,...,"detail":"..."`. The dump's `events`
+/// and the JSONL log both render events through it.
+void append_event_fields(std::string& out, const RecorderEvent& event);
 
 [[nodiscard]] inline std::string json_escape(std::string_view s) {
   std::string out;

@@ -11,8 +11,7 @@ namespace biosens::obs {
 namespace {
 
 // Bumped on every install(); lets a thread detect that its cached ring
-// pointer belongs to a dead recorder window (same scheme as the trace
-// session's generation counter).
+// pointer belongs to a dead recorder window.
 std::atomic<std::uint64_t> g_recorder_generation{0};
 
 struct RecorderSlot {
@@ -35,8 +34,10 @@ std::string format_ms(std::uint64_t ns) {
   return buf;
 }
 
-void append_event_json(std::string& out, const RecorderEvent& ev) {
-  out += "{\"ts_ns\":";
+}  // namespace
+
+void append_event_fields(std::string& out, const RecorderEvent& ev) {
+  out += "\"ts_ns\":";
   out += std::to_string(ev.event.ts_ns);
   out += ",\"phase\":\"";
   out += to_string(ev.event.phase);
@@ -54,7 +55,15 @@ void append_event_json(std::string& out, const RecorderEvent& ev) {
   out += std::to_string(ev.session_id);
   out += ",\"detail\":\"";
   out += json_escape(ev.event.detail);
-  out += "\"}";
+  out += "\"";
+}
+
+namespace {
+
+void append_event_json(std::string& out, const RecorderEvent& ev) {
+  out += "{";
+  append_event_fields(out, ev);
+  out += "}";
 }
 
 void append_event_text(std::string& out, const RecorderEvent& ev) {
@@ -159,15 +168,6 @@ std::string RecorderDump::to_text() const {
   return out;
 }
 
-std::atomic<FlightRecorder*>& FlightRecorder::current_recorder() {
-  static std::atomic<FlightRecorder*> current{nullptr};
-  return current;
-}
-
-FlightRecorder* FlightRecorder::current() {
-  return current_recorder().load(std::memory_order_acquire);
-}
-
 FlightRecorder::FlightRecorder(FlightRecorderOptions options)
     : options_(std::move(options)) {
   if (options_.ring_capacity_per_thread == 0) {
@@ -195,14 +195,14 @@ void FlightRecorder::install() {
       g_recorder_generation.fetch_add(1, std::memory_order_relaxed) + 1;
   epoch_ = std::chrono::steady_clock::now();
   installed_.store(true, std::memory_order_relaxed);
-  current_recorder().store(this, std::memory_order_release);
+  current_.store(this, std::memory_order_release);
 }
 
 void FlightRecorder::uninstall() {
   if (!installed_.load(std::memory_order_relaxed)) return;
   FlightRecorder* expected = this;
-  current_recorder().compare_exchange_strong(expected, nullptr,
-                                             std::memory_order_acq_rel);
+  current_.compare_exchange_strong(expected, nullptr,
+                                   std::memory_order_acq_rel);
   installed_.store(false, std::memory_order_relaxed);
   // Rings stay in place for post-hoc dump(); the next install() clears
   // them.
@@ -227,7 +227,6 @@ FlightRecorder::ThreadRing* FlightRecorder::ring_for_this_thread() {
   }
   auto owned = std::make_unique<ThreadRing>();
   ThreadRing* ring = owned.get();
-  ring->slots.resize(options_.ring_capacity_per_thread);
   {
     std::lock_guard<std::mutex> lock(registry_mutex_);
     ring->tid = rings_.size() + 1;
@@ -250,11 +249,13 @@ void FlightRecorder::record_event(RecorderEvent&& event) {
   }
   ThreadRing* ring = ring_for_this_thread();
   std::lock_guard<std::mutex> lock(ring->mutex);
-  const std::size_t cap = ring->slots.size();
-  if (ring->next >= cap) {
+  const std::size_t cap = options_.ring_capacity_per_thread;
+  if (ring->slots.size() < cap) {
+    ring->slots.push_back(std::move(event));
+  } else {
+    ring->slots[ring->next % cap] = std::move(event);
     overwritten_.fetch_add(1, std::memory_order_relaxed);
   }
-  ring->slots[ring->next % cap] = std::move(event);
   ++ring->next;
   recorded_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -319,7 +320,9 @@ void FlightRecorder::trigger(std::string_view reason,
   RecorderDump snapshot = dump(reason, tenant, detail);
   if (!options_.auto_dump_path.empty()) {
     std::ofstream out(options_.auto_dump_path);
-    if (out) out << snapshot.to_json() << "\n";
+    out << snapshot.to_json() << "\n";
+    out.close();
+    snapshot.auto_dump_written = !out.fail();
   }
   std::lock_guard<std::mutex> lock(trigger_mutex_);
   first_dump_ = std::move(snapshot);
@@ -340,11 +343,12 @@ RecorderDump FlightRecorder::dump(std::string_view reason,
     std::lock_guard<std::mutex> registry_lock(registry_mutex_);
     for (const auto& ring : rings_) {
       std::lock_guard<std::mutex> lock(ring->mutex);
-      const std::size_t cap = ring->slots.size();
+      const std::size_t cap = options_.ring_capacity_per_thread;
       const std::uint64_t first =
           ring->next > cap ? ring->next - cap : 0;
       for (std::uint64_t i = first; i < ring->next; ++i) {
         out.events.push_back(ring->slots[i % cap]);
+        out.events.back().tid = ring->tid;
       }
     }
   }
@@ -369,6 +373,11 @@ RecorderDump FlightRecorder::dump(std::string_view reason,
 RecorderDump FlightRecorder::first_trigger_dump() const {
   std::lock_guard<std::mutex> lock(trigger_mutex_);
   return first_dump_;
+}
+
+bool FlightRecorder::auto_dump_written() const {
+  std::lock_guard<std::mutex> lock(trigger_mutex_);
+  return first_dump_.auto_dump_written;
 }
 
 }  // namespace biosens::obs

@@ -1,13 +1,13 @@
-// Flight recorder: an always-on, bounded ring of recent events.
+// Flight recorder: the one event store, a bounded ring of recent events.
 //
-// Tracing (span.hpp) answers "what happened during the window I chose
-// to record"; the flight recorder answers "what just happened" — it is
-// meant to be installed for the whole life of a resident process and to
-// cost near-zero while nothing consumes it. Every completed ObsSpan and
-// every TraceSession::instant also lands here (same SpanEvent
-// vocabulary), but into fixed-capacity per-thread rings that overwrite
-// their oldest entries instead of growing: memory is bounded forever,
-// and the recorder always holds the most recent events.
+// Every completed ObsSpan, every instant and every queue wait
+// (obs/span.hpp) lands here, into per-thread rings that grow on demand
+// up to a fixed capacity and then overwrite their oldest entries:
+// memory is bounded forever, and the recorder always holds the most
+// recent events. Installed for the whole life of a resident process it
+// answers "what just happened"; installed around a batch with a
+// trace-sized capacity it is the trace, and the exporters render its
+// dump (docs/observability.md).
 //
 // Each recorded event carries the tenant/session attribution that was
 // active on the recording thread (FlightRecorder::ScopedContext — the
@@ -21,15 +21,16 @@
 // only count; the first one wins, so the dump shows the state at the
 // *first* sign of trouble, not the aftermath.
 //
-// Like tracing, the recorder observes and never perturbs: it reads the
-// steady clock and its own rings only, never an Rng stream, so results
-// stay byte-identical with the recorder installed or not
+// The recorder observes and never perturbs: it reads the steady clock
+// and its own rings only, never an Rng stream, so results stay
+// byte-identical with the recorder installed or not
 // (docs/operations.md).
 //
-// Raw event emission (record_event / RecorderEvent construction) is
-// confined to src/obs/ — outside it, code attributes via ScopedContext
+// Raw event emission (record_event / RecorderEvent construction /
+// EventPhase) is confined to src/obs/ — outside it, code records
+// through ObsSpan, instant and async_end, attributes via ScopedContext
 // and signals via the trigger_* helpers (enforced by the
-// recorder-discipline lint in ci/check.sh).
+// recorder-discipline lint).
 #pragma once
 
 #include <atomic>
@@ -46,8 +47,10 @@
 namespace biosens::obs {
 
 struct FlightRecorderOptions {
-  /// Fixed ring capacity per recording thread; the ring overwrites its
-  /// oldest event once full (counted in overwritten_events()).
+  /// Ring capacity per recording thread. A ring grows on demand up to
+  /// it, then overwrites its oldest event (counted in
+  /// overwritten_events()), so a trace-sized capacity costs only the
+  /// memory of what is recorded.
   std::size_t ring_capacity_per_thread = 4096;
   /// Tail length of the per-tenant event list a dump isolates.
   std::size_t dump_last_n = 128;
@@ -59,13 +62,14 @@ struct FlightRecorderOptions {
 };
 
 /// One flight-recorder entry: a trace event plus the duration (kEnd
-/// events record the whole span as one entry) and the tenant/session
-/// attribution active on the recording thread.
+/// and kAsyncEnd events record the whole interval as one entry) and the
+/// tenant/session attribution active on the recording thread.
 struct RecorderEvent {
   SpanEvent event;            ///< ts_ns is relative to install() time
-  std::uint64_t dur_ns = 0;   ///< span duration; 0 for instants
+  std::uint64_t dur_ns = 0;   ///< interval duration; 0 for instants
   std::string tenant;         ///< ScopedContext attribution ("" = none)
   std::uint64_t session_id = 0;
+  std::uint64_t tid = 0;      ///< recording thread (1-based); set by dump()
 };
 
 /// A frozen snapshot of the recorder, renderable as JSON or text.
@@ -82,16 +86,19 @@ struct RecorderDump {
   /// The last-N surviving events attributed to `tenant` (empty for
   /// manual dumps with no tenant filter).
   std::vector<RecorderEvent> tenant_tail;
+  /// Latched trigger dumps only: whether this dump reached the
+  /// recorder's auto_dump_path (false when none is set or the write
+  /// failed).
+  bool auto_dump_written = false;
 
   [[nodiscard]] std::string to_json() const;
   [[nodiscard]] std::string to_text() const;
 };
 
 /// The process-wide flight recorder. install() publishes it (at most
-/// one active, mirroring TraceSession); every ObsSpan end and instant
-/// then records into the calling thread's ring until uninstall().
-/// While none is installed the cost at each span is one relaxed atomic
-/// load.
+/// one active); every ObsSpan end, instant and async_end then records
+/// into the calling thread's ring until uninstall(). While none is
+/// installed the cost at each span is one acquire load.
 class FlightRecorder {
  public:
   explicit FlightRecorder(FlightRecorderOptions options = {});
@@ -106,9 +113,11 @@ class FlightRecorder {
     return installed_.load(std::memory_order_relaxed);
   }
 
-  /// The installed recorder, or nullptr. One relaxed-ish atomic load:
-  /// the whole disabled-path cost at each span.
-  [[nodiscard]] static FlightRecorder* current();
+  /// The installed recorder, or nullptr. One acquire load: the whole
+  /// disabled-path cost at each span.
+  [[nodiscard]] static FlightRecorder* current() {
+    return current_.load(std::memory_order_acquire);
+  }
 
   /// Steady-clock nanoseconds since install().
   [[nodiscard]] std::uint64_t now_ns() const;
@@ -165,6 +174,8 @@ class FlightRecorder {
   [[nodiscard]] std::uint64_t overwritten_events() const {
     return overwritten_.load(std::memory_order_relaxed);
   }
+  /// Whether the latched trigger dump reached auto_dump_path.
+  [[nodiscard]] bool auto_dump_written() const;
 
   [[nodiscard]] const FlightRecorderOptions& options() const {
     return options_;
@@ -172,21 +183,23 @@ class FlightRecorder {
 
  private:
   friend class ObsSpan;
-  friend class TraceSession;
+  friend void instant(Layer, std::string_view, std::string_view);
+  friend void async_end(Layer, std::string_view, std::uint64_t,
+                        std::chrono::steady_clock::time_point);
 
   struct ThreadRing {
     std::mutex mutex;
     std::uint64_t tid = 0;
-    std::vector<RecorderEvent> slots;  ///< fixed capacity, preallocated
+    std::vector<RecorderEvent> slots;  ///< grows up to the ring capacity
     std::uint64_t next = 0;            ///< events ever recorded here
   };
 
-  static std::atomic<FlightRecorder*>& current_recorder();
+  static inline std::atomic<FlightRecorder*> current_{nullptr};
 
   /// The raw emission primitive. Private on purpose: outside src/obs/
-  /// events enter only through ObsSpan / TraceSession::instant
-  /// (friends) and the trigger_* helpers — enforced here and linted by
-  /// ci/check.sh (recorder-discipline).
+  /// events enter only through ObsSpan, instant and async_end (friends)
+  /// and the trigger_* helpers — enforced here and linted by
+  /// biosens-lint (recorder-discipline).
   void record_event(RecorderEvent&& event);
   ThreadRing* ring_for_this_thread();
   void trigger(std::string_view reason, std::string_view tenant,

@@ -1,6 +1,5 @@
 #include "obs/span.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/recorder.hpp"
@@ -8,23 +7,13 @@
 namespace biosens::obs {
 namespace {
 
-// Bumped on every TraceSession::start(); lets a thread detect that its
-// cached buffer pointer belongs to a dead recording window without
-// touching the session it points at.
-std::atomic<std::uint64_t> g_session_generation{0};
-
-struct ThreadSlot {
-  TraceSession* session = nullptr;
-  std::uint64_t generation = 0;
-  void* buffer = nullptr;
-};
-
-ThreadSlot& thread_slot() {
-  thread_local ThreadSlot slot;
-  return slot;
+std::uint64_t nanos_between(std::chrono::steady_clock::time_point from,
+                            std::chrono::steady_clock::time_point to) {
+  const auto delta =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
+          .count();
+  return delta > 0 ? static_cast<std::uint64_t>(delta) : 0;
 }
-
-constexpr double kNanosPerSecond = 1e9;
 
 }  // namespace
 
@@ -39,239 +28,58 @@ std::string_view to_string(EventPhase phase) {
   return "unknown";
 }
 
-std::atomic<TraceSession*>& TraceSession::current_session() {
-  static std::atomic<TraceSession*> current{nullptr};
-  return current;
-}
-
-TraceSession::TraceSession(TraceSessionOptions options)
-    : options_(options) {}
-
-TraceSession::~TraceSession() { stop(); }
-
-void TraceSession::start() {
-  if (active_.load(std::memory_order_relaxed)) return;
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    buffers_.clear();
-  }
-  for (auto& h : layer_latency_) h.reset();
-  for (auto& c : layer_failures_) c.reset();
-  spans_.store(0, std::memory_order_relaxed);
-  failed_spans_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
-  generation_ =
-      g_session_generation.fetch_add(1, std::memory_order_relaxed) + 1;
-  epoch_ = std::chrono::steady_clock::now();
-  active_.store(true, std::memory_order_relaxed);
-  current_session().store(this, std::memory_order_release);
-}
-
-void TraceSession::stop() {
-  if (!active_.load(std::memory_order_relaxed)) return;
-  TraceSession* expected = this;
-  current_session().compare_exchange_strong(expected, nullptr,
-                                            std::memory_order_acq_rel);
-  active_.store(false, std::memory_order_relaxed);
-  // Events stay in buffers_ for export; the next start() clears them.
-}
-
-std::uint64_t TraceSession::now_ns() const {
-  return ns_since_epoch(std::chrono::steady_clock::now());
-}
-
-std::uint64_t TraceSession::ns_since_epoch(
-    std::chrono::steady_clock::time_point tp) const {
-  const auto delta =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(tp - epoch_)
-          .count();
-  return delta > 0 ? static_cast<std::uint64_t>(delta) : 0;
-}
-
-TraceSession::ThreadBuffer* TraceSession::buffer_for_this_thread() {
-  ThreadSlot& slot = thread_slot();
-  if (slot.session == this && slot.generation == generation_) {
-    return static_cast<ThreadBuffer*>(slot.buffer);
-  }
-  auto owned = std::make_unique<ThreadBuffer>();
-  ThreadBuffer* buffer = owned.get();
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    buffer->tid = buffers_.size() + 1;
-    buffers_.push_back(std::move(owned));
-  }
-  slot.session = this;
-  slot.generation = generation_;
-  slot.buffer = buffer;
-  return buffer;
-}
-
-void TraceSession::emit_span_event(SpanEvent&& event) {
-  ThreadBuffer* buffer = buffer_for_this_thread();
-  std::lock_guard<std::mutex> lock(buffer->mutex);
-  if (buffer->events.size() >= options_.max_events_per_thread) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  buffer->events.push_back(std::move(event));
-}
-
-void TraceSession::record_span(Layer layer, double seconds, bool failed) {
-  const auto index = static_cast<std::size_t>(layer);
-  if (index < kLayerCount) {
-    layer_latency_[index].record(seconds);
-    if (failed) layer_failures_[index].increment();
-  }
-  spans_.fetch_add(1, std::memory_order_relaxed);
-  if (failed) failed_spans_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void TraceSession::instant(Layer layer, std::string_view name,
-                           std::string_view detail) {
-  TraceSession* session = current();
+void instant(Layer layer, std::string_view name, std::string_view detail) {
   FlightRecorder* recorder = FlightRecorder::current();
-  if (session == nullptr && recorder == nullptr) return;
-  if (session != nullptr) {
-    SpanEvent event;
-    event.phase = EventPhase::kInstant;
-    event.layer = layer;
-    event.name = std::string(name);
-    event.ts_ns = session->now_ns();
-    event.detail = std::string(detail);
-    session->emit_span_event(std::move(event));
-  }
-  if (recorder != nullptr) {
-    RecorderEvent event;
-    event.event.phase = EventPhase::kInstant;
-    event.event.layer = layer;
-    event.event.name = std::string(name);
-    event.event.ts_ns = recorder->now_ns();
-    event.event.detail = std::string(detail);
-    recorder->record_event(std::move(event));
-  }
+  if (recorder == nullptr) return;
+  RecorderEvent event;
+  event.event.phase = EventPhase::kInstant;
+  event.event.layer = layer;
+  event.event.name = std::string(name);
+  event.event.ts_ns = recorder->now_ns();
+  event.event.detail = std::string(detail);
+  recorder->record_event(std::move(event));
 }
 
-void TraceSession::async_begin(Layer layer, std::string_view name,
-                               std::uint64_t id) {
-  TraceSession* session = current();
-  if (session == nullptr) return;
-  SpanEvent event;
-  event.phase = EventPhase::kAsyncBegin;
-  event.layer = layer;
-  event.name = std::string(name);
-  event.ts_ns = session->now_ns();
-  event.id = id;
-  session->emit_span_event(std::move(event));
-}
-
-void TraceSession::async_end(Layer layer, std::string_view name,
-                             std::uint64_t id) {
-  TraceSession* session = current();
-  if (session == nullptr) return;
-  SpanEvent event;
-  event.phase = EventPhase::kAsyncEnd;
-  event.layer = layer;
-  event.name = std::string(name);
-  event.ts_ns = session->now_ns();
-  event.id = id;
-  session->emit_span_event(std::move(event));
-}
-
-std::vector<ThreadTrack> TraceSession::tracks() const {
-  std::vector<ThreadTrack> out;
-  std::lock_guard<std::mutex> registry_lock(registry_mutex_);
-  out.reserve(buffers_.size());
-  for (const auto& buffer : buffers_) {
-    ThreadTrack track;
-    track.tid = buffer->tid;
-    {
-      std::lock_guard<std::mutex> lock(buffer->mutex);
-      track.events = buffer->events;
-    }
-    out.push_back(std::move(track));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ThreadTrack& a, const ThreadTrack& b) {
-              return a.tid < b.tid;
-            });
-  return out;
-}
-
-const LatencyHistogram& TraceSession::layer_latency(Layer layer) const {
-  const auto index = static_cast<std::size_t>(layer);
-  return layer_latency_[std::min(index, kLayerCount - 1)];
-}
-
-std::uint64_t TraceSession::layer_failures(Layer layer) const {
-  const auto index = static_cast<std::size_t>(layer);
-  return layer_failures_[std::min(index, kLayerCount - 1)].value();
-}
-
-std::uint64_t TraceSession::event_count() const {
-  std::uint64_t total = 0;
-  std::lock_guard<std::mutex> registry_lock(registry_mutex_);
-  for (const auto& buffer : buffers_) {
-    std::lock_guard<std::mutex> lock(buffer->mutex);
-    total += buffer->events.size();
-  }
-  return total;
+void async_end(Layer layer, std::string_view name, std::uint64_t id,
+               std::chrono::steady_clock::time_point began) {
+  FlightRecorder* recorder = FlightRecorder::current();
+  if (recorder == nullptr) return;
+  const auto now = std::chrono::steady_clock::now();
+  RecorderEvent event;
+  event.event.phase = EventPhase::kAsyncEnd;
+  event.event.layer = layer;
+  event.event.name = std::string(name);
+  event.event.ts_ns = recorder->ns_since_install(now);
+  event.event.id = id;
+  event.dur_ns = nanos_between(began, now);
+  recorder->record_event(std::move(event));
 }
 
 ObsSpan::ObsSpan(Layer layer, std::string_view name,
                  std::string_view detail)
-    : session_(TraceSession::current()),
-      recorder_(FlightRecorder::current()) {
-  if (session_ == nullptr && recorder_ == nullptr) return;
+    : recorder_(FlightRecorder::current()) {
+  if (recorder_ == nullptr) return;
   layer_ = layer;
   name_ = std::string(name);
   if (!detail.empty()) {
     name_ += " ";
     name_ += detail;
   }
-  begin_tp_ = std::chrono::steady_clock::now();
-  if (session_ != nullptr) {
-    begin_ns_ = session_->ns_since_epoch(begin_tp_);
-    SpanEvent event;
-    event.phase = EventPhase::kBegin;
-    event.layer = layer_;
-    event.name = name_;
-    event.ts_ns = begin_ns_;
-    session_->emit_span_event(std::move(event));
-  }
+  begin_ = std::chrono::steady_clock::now();
 }
 
 ObsSpan::~ObsSpan() {
-  if (session_ == nullptr && recorder_ == nullptr) return;
-  const auto end_tp = std::chrono::steady_clock::now();
-  // Recorder first: it copies the strings the session event then moves.
-  if (recorder_ != nullptr) {
-    RecorderEvent event;
-    event.event.phase = EventPhase::kEnd;
-    event.event.layer = layer_;
-    event.event.name = name_;
-    event.event.ts_ns = recorder_->ns_since_install(end_tp);
-    event.event.failed = failed_;
-    event.event.detail = detail_;
-    event.dur_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end_tp -
-                                                             begin_tp_)
-            .count());
-    recorder_->record_event(std::move(event));
-  }
-  if (session_ != nullptr) {
-    const std::uint64_t end_ns = session_->ns_since_epoch(end_tp);
-    SpanEvent event;
-    event.phase = EventPhase::kEnd;
-    event.layer = layer_;
-    event.name = std::move(name_);
-    event.ts_ns = end_ns;
-    event.failed = failed_;
-    event.detail = std::move(detail_);
-    session_->emit_span_event(std::move(event));
-    session_->record_span(
-        layer_, static_cast<double>(end_ns - begin_ns_) / kNanosPerSecond,
-        failed_);
-  }
+  if (recorder_ == nullptr) return;
+  const auto end = std::chrono::steady_clock::now();
+  RecorderEvent event;
+  event.event.phase = EventPhase::kEnd;
+  event.event.layer = layer_;
+  event.event.name = std::move(name_);
+  event.event.ts_ns = recorder_->ns_since_install(end);
+  event.event.failed = failed_;
+  event.event.detail = std::move(detail_);
+  event.dur_ns = nanos_between(begin_, end);
+  recorder_->record_event(std::move(event));
 }
 
 void ObsSpan::fail(const ErrorInfo& error) {

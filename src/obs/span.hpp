@@ -1,52 +1,44 @@
 // Cross-layer tracing: RAII spans through the measurement stack.
 //
-// A TraceSession is the runtime toggle: while one is installed as the
-// process-wide current session, every ObsSpan constructed anywhere in
-// the library (chem validation, transport stepping, electrochem sweeps,
-// the readout chain, analysis, the engine's job lifecycle) records a
-// begin/end event pair onto the constructing thread's event buffer and
-// feeds the session's per-layer latency histograms. The same spans also
-// feed the always-on flight recorder (obs/recorder.hpp) when one is
-// installed. While neither consumer is active, constructing an ObsSpan
-// costs two relaxed atomic loads and allocates nothing — the overhead
+// Every ObsSpan constructed anywhere in the library (chem validation,
+// transport stepping, electrochem sweeps, the readout chain, analysis,
+// the engine's job lifecycle) and every instant/async_end below writes
+// into the one event store, the flight recorder (obs/recorder.hpp),
+// while one is installed. While none is installed, constructing an
+// ObsSpan costs one acquire load and allocates nothing — the overhead
 // contract that lets the spans live permanently in the hot measurement
 // pipeline (docs/observability.md).
 //
-// Event collection is per-thread: each thread lazily registers one
-// buffer with the session (a mutex is taken only at registration and at
-// export), so worker threads never contend while tracing. Exporters
-// (export_chrome/export_jsonl/export_prometheus) turn the collected
-// tracks into Chrome trace-event JSON, JSONL event logs, and
-// Prometheus-style histogram expositions.
+// A trace is a window on that store: install a recorder around the work,
+// then render its dump with the exporters (export_chrome/export_jsonl/
+// export_prometheus) as Chrome trace-event JSON, a JSONL event log, or
+// Prometheus per-layer histograms.
 //
 // Failed spans are annotated from the Expected ErrorInfo that caused
 // the failure — the stage/context vocabulary of docs/errors.md — so a
 // trace shows *where time went* and *where errors came from* in the
 // same terms.
 //
-// Raw span-event emission is confined to this subsystem: the only way
-// to open and close a span outside src/obs/ is the ObsSpan RAII type
-// (enforced by friendship here and by the ci/check.sh lint).
+// Raw event emission is confined to this subsystem: outside src/obs/
+// events enter only through ObsSpan and the free functions below
+// (enforced by friendship in recorder.hpp and by the biosens-lint
+// recorder-discipline check).
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/expected.hpp"
-#include "obs/instruments.hpp"
 
 namespace biosens::obs {
 
-/// What one recorded event marks. Begin/End always come in nested pairs
-/// per thread (RAII); async pairs (queue wait) are correlated by id and
-/// may begin and end on different threads; instants are points.
+/// What one event marks. The recorder stores a completed span as one
+/// kEnd event carrying its duration, and a queue wait as one kAsyncEnd
+/// event carrying its duration; the Chrome exporter derives the
+/// kBegin/kAsyncBegin halves from them, so a wrapped ring can never
+/// hold half a pair. Instants are points.
 enum class EventPhase : std::uint8_t {
   kBegin,
   kEnd,
@@ -62,139 +54,39 @@ struct SpanEvent {
   EventPhase phase = EventPhase::kInstant;
   Layer layer = Layer::kCommon;
   std::string name;
-  std::uint64_t ts_ns = 0;  ///< steady-clock ns since the session epoch
+  std::uint64_t ts_ns = 0;  ///< steady-clock ns since the recorder's install()
   std::uint64_t id = 0;     ///< async correlation id (job index)
   bool failed = false;      ///< kEnd only: the span's operation failed
   std::string detail;       ///< ErrorInfo::describe() or an annotation
 };
 
-/// All events one thread recorded, in chronological (append) order.
-struct ThreadTrack {
-  std::uint64_t tid = 0;  ///< stable registration order, 1-based
-  std::vector<SpanEvent> events;
-};
-
-struct TraceSessionOptions {
-  /// Hard cap per thread buffer; events beyond it are counted in
-  /// dropped_events() instead of growing without bound.
-  std::size_t max_events_per_thread = 1u << 20;
-};
-
-/// A bounded recording window. start() installs the session as the
-/// process-wide current session (at most one may be active) and clears
-/// any previously collected events; stop() uninstalls it and leaves the
-/// events in place for export. start()/stop() must not race with
-/// in-flight instrumented work — call them at batch boundaries, as
-/// Engine::run does for EngineOptions::trace.
-class TraceSession {
- public:
-  explicit TraceSession(TraceSessionOptions options = {});
-  ~TraceSession();
-
-  TraceSession(const TraceSession&) = delete;
-  TraceSession& operator=(const TraceSession&) = delete;
-
-  void start();
-  void stop();
-  [[nodiscard]] bool active() const {
-    return active_.load(std::memory_order_relaxed);
-  }
-
-  /// The installed session, or nullptr while tracing is disabled. One
-  /// relaxed-ish atomic load: the whole disabled-path cost of a span.
-  [[nodiscard]] static TraceSession* current() {
-    return current_session().load(std::memory_order_acquire);
-  }
-
-  /// Steady-clock nanoseconds since this session's start().
-  [[nodiscard]] std::uint64_t now_ns() const;
-  [[nodiscard]] std::uint64_t ns_since_epoch(
-      std::chrono::steady_clock::time_point tp) const;
-
-  /// Point event on the calling thread's track; also lands in the
-  /// flight recorder when one is installed. No-ops when neither is
-  /// active. Used for sim-cache hits/misses and retry backoffs.
-  static void instant(Layer layer, std::string_view name,
-                      std::string_view detail = {});
-
-  /// Async interval correlated by (name, id); begin and end may run on
-  /// different threads (queue wait: submitted on the producer, started
-  /// on a worker). No-ops when no session is installed.
-  static void async_begin(Layer layer, std::string_view name,
-                          std::uint64_t id);
-  static void async_end(Layer layer, std::string_view name,
-                        std::uint64_t id);
-
-  /// Snapshot of every thread's events, ordered by tid. Safe while
-  /// active (locks each buffer briefly); call after the instrumented
-  /// work completed for a consistent trace.
-  [[nodiscard]] std::vector<ThreadTrack> tracks() const;
-
-  /// Inclusive latency of completed spans per layer — the attribution
-  /// the Prometheus exporter exposes. Nested spans each count toward
-  /// their own layer (a chem span inside an electrochem span adds to
-  /// both), so layer totals are inclusive, not a partition.
-  [[nodiscard]] const LatencyHistogram& layer_latency(Layer layer) const;
-  [[nodiscard]] std::uint64_t layer_failures(Layer layer) const;
-
-  [[nodiscard]] std::uint64_t span_count() const {
-    return spans_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t failed_span_count() const {
-    return failed_spans_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t event_count() const;
-  [[nodiscard]] std::uint64_t dropped_events() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
- private:
-  friend class ObsSpan;
-
-  struct ThreadBuffer {
-    std::mutex mutex;
-    std::uint64_t tid = 0;
-    std::vector<SpanEvent> events;
-  };
-
-  static std::atomic<TraceSession*>& current_session();
-
-  /// The raw emission primitive. Private on purpose: outside src/obs/
-  /// only the ObsSpan RAII type (a friend) and the static helpers above
-  /// may create events — enforced here and linted by ci/check.sh.
-  void emit_span_event(SpanEvent&& event);
-  void record_span(Layer layer, double seconds, bool failed);
-  ThreadBuffer* buffer_for_this_thread();
-
-  TraceSessionOptions options_;
-  std::atomic<bool> active_{false};
-  std::uint64_t generation_ = 0;
-  std::chrono::steady_clock::time_point epoch_{};
-  mutable std::mutex registry_mutex_;
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
-  std::array<LatencyHistogram, kLayerCount> layer_latency_{};
-  std::array<Counter, kLayerCount> layer_failures_{};
-  std::atomic<std::uint64_t> spans_{0};
-  std::atomic<std::uint64_t> failed_spans_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-};
-
 class FlightRecorder;
 
-/// RAII span: begin event at construction, end event at destruction,
-/// duration into the session's per-layer histogram; when a
-/// FlightRecorder is installed the completed span (one kEnd event with
-/// its duration) also lands in the recorder's ring. The ONLY way to
-/// open a span outside src/obs/.
+/// Point event on the calling thread (sim-cache hits/misses, retry
+/// backoffs, admission rejections). No-op while no recorder is
+/// installed.
+void instant(Layer layer, std::string_view name,
+             std::string_view detail = {});
+
+/// Async interval that ends now and began at `began`, possibly on
+/// another thread (queue wait: submitted on the producer, picked up on
+/// a worker): one kAsyncEnd event with its duration, correlated by
+/// `id`. No-op while no recorder is installed.
+void async_end(Layer layer, std::string_view name, std::uint64_t id,
+               std::chrono::steady_clock::time_point began);
+
+/// RAII span: reads the clock at construction, and at destruction
+/// records one kEnd event with the span's duration into the installed
+/// recorder. The ONLY way to open a span outside src/obs/.
 ///
-/// Disabled path (no session and no recorder): two relaxed atomic
-/// loads, no allocation, no clock read, and every member call is an
-/// immediate return.
+/// Disabled path (no recorder installed): one acquire load, no
+/// allocation, no clock read, and every member call is an immediate
+/// return.
 class ObsSpan {
  public:
   /// `detail` is appended to the span name ("measure" + sensor name);
-  /// the concatenation only happens when tracing is enabled, so call
-  /// sites may pass names they would not want to build per-call.
+  /// the concatenation only happens when a recorder is installed, so
+  /// call sites may pass names they would not want to build per-call.
   explicit ObsSpan(Layer layer, std::string_view name,
                    std::string_view detail = {});
   ~ObsSpan();
@@ -218,18 +110,14 @@ class ObsSpan {
     return e;
   }
 
-  /// Whether any consumer (trace session or flight recorder) sees this
-  /// span — call sites use it to skip building expensive annotations.
-  [[nodiscard]] bool enabled() const {
-    return session_ != nullptr || recorder_ != nullptr;
-  }
+  /// Whether a recorder sees this span — call sites use it to skip
+  /// building expensive annotations.
+  [[nodiscard]] bool enabled() const { return recorder_ != nullptr; }
 
  private:
-  TraceSession* session_;
   FlightRecorder* recorder_;
   Layer layer_ = Layer::kCommon;
-  std::uint64_t begin_ns_ = 0;
-  std::chrono::steady_clock::time_point begin_tp_{};
+  std::chrono::steady_clock::time_point begin_{};
   std::string name_;
   std::string detail_;
   bool failed_ = false;

@@ -281,7 +281,6 @@ Expected<std::uint64_t> SimulationService::try_submit_measurement(
   if (!shard_ptr.has_value()) return shard_ptr.error();
   Shard& shard = *shard_ptr.value();
 
-  std::uint64_t request_id = 0;
   std::uint64_t measurement_index = 0;
   {
     std::unique_lock<std::mutex> lock(shard.mutex);
@@ -315,7 +314,7 @@ Expected<std::uint64_t> SimulationService::try_submit_measurement(
       // recorder's first-incident dump (obs/recorder.hpp).
       const obs::FlightRecorder::ScopedContext recorder_context(
           session.tenant, session.id);
-      obs::TraceSession::instant(kLayer, "svc-overloaded", session.tenant);
+      obs::instant(kLayer, "svc-overloaded", session.tenant);
       obs::FlightRecorder::trigger_overload(session.tenant, message);
       return overloaded<std::uint64_t>(
           "submit_measurement", std::move(message), session.tenant,
@@ -361,11 +360,9 @@ Expected<std::uint64_t> SimulationService::try_submit_measurement(
     if (!session.in_flight && !session.listed) {
       enqueue_runnable(shard, session);
     }
-    request_id = request.request_id;
     measurement_index = request.index;
   }
   pending_total_.fetch_add(1, std::memory_order_relaxed);
-  obs::TraceSession::async_begin(kLayer, "svc-queue", request_id);
   pump();
   // The measurement index doubles as the deterministic stream position.
   return measurement_index;
@@ -705,7 +702,8 @@ void SimulationService::pump() {
 
 void SimulationService::execute(Shard& shard, Session* session,
                                 const Request& request) {
-  obs::TraceSession::async_end(kLayer, "svc-queue", request.request_id);
+  obs::async_end(kLayer, "svc-queue", request.request_id,
+                 request.submitted);
   ClassSlo& slo = slo_[idx(session->priority)];
   slo.queue_wait.record(seconds_since(request.submitted));
 
@@ -800,7 +798,7 @@ void SimulationService::execute(Shard& shard, Session* session,
 }
 
 std::string SimulationService::prometheus_text(
-    const obs::TraceSession* trace) const {
+    const obs::RecorderDump* trace) const {
   obs::PrometheusWriter writer;
   obs::append_build_info(writer);
   static constexpr std::string_view kOutcomes[] = {"submitted", "completed",

@@ -45,7 +45,7 @@
 #include "service/session.hpp"
 
 namespace biosens::obs {
-class TraceSession;
+struct RecorderDump;
 }
 
 namespace biosens::engine {
@@ -166,9 +166,10 @@ class SimulationService {
 
   /// Prometheus 0.0.4 exposition: per-class SLO counters + histograms,
   /// per-tenant request counters, service gauges; appends the per-layer
-  /// latency attribution of `trace` when given.
+  /// latency attribution computed from `trace` (a flight-recorder dump)
+  /// when given.
   [[nodiscard]] std::string prometheus_text(
-      const obs::TraceSession* trace = nullptr) const;
+      const obs::RecorderDump* trace = nullptr) const;
 
   /// healthz/readyz-style report: kHealthy/kDegraded/kUnhealthy with
   /// machine-readable reasons (queue saturation since the last quiesce,

@@ -134,6 +134,13 @@ Expected<SessionSnapshot> SessionSnapshot::try_decode(std::string_view text) {
   for (std::size_t i = 0; i < n; ++i) {
     BIOSENS_EXPECT(flags.value()[i] <= 1, ErrorCode::kSpec, kLayer,
                    "decode_snapshot", "record_flags entries must be 0 or 1");
+    // The service records every measurement index exactly once, in
+    // order, so a restored stream must be dense.
+    BIOSENS_EXPECT(indices.value()[i] == i, ErrorCode::kSpec, kLayer,
+                   "decode_snapshot",
+                   "record_indices must be dense: entry " +
+                       std::to_string(i) + " carries index " +
+                       std::to_string(indices.value()[i]));
     snap.records[i] = MeasurementRecord{indices.value()[i],
                                         times.value()[i], values.value()[i],
                                         flags.value()[i] == 1};

@@ -1,12 +1,14 @@
-// Observability subsystem: span/session mechanics, histogram edge
-// contract, exporter structure, flight recorder, sampler, health model,
-// watchdog, and the central non-perturbation guarantee — observing must
-// never change batch results.
+// Observability subsystem: span mechanics over the one event store (the
+// flight recorder), histogram edge contract, exporter structure, ring
+// accounting, sampler, health model, watchdog, and the central
+// non-perturbation guarantee — observing must never change batch
+// results.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -76,73 +78,114 @@ TEST(LatencyHistogramEdges, BucketCountsMatchRecordings) {
   EXPECT_EQ(h.bucket_count(LatencyHistogram::kBuckets + 7), 0u);
 }
 
-TEST(TraceSessionTest, SpansAreNoOpsWithoutASession) {
-  ASSERT_EQ(TraceSession::current(), nullptr);
+// Walks a Chrome trace line by line (the exporter writes one event per
+// line) and checks that on every tid each "E" closes the most recent
+// open "B" of the same name, and that no "B" stays open. Returns the
+// number of B/E pairs.
+std::size_t balanced_pairs(const std::string& json) {
+  const auto between = [](const std::string& line, const std::string& from,
+                          const std::string& to) {
+    const std::size_t a = line.find(from) + from.size();
+    return line.substr(a, line.find(to, a) - a);
+  };
+  std::map<std::string, std::vector<std::string>> open;  // tid -> names
+  std::size_t pairs = 0;
+  std::istringstream lines(json);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const bool begin = line.find("\"ph\":\"B\"") != std::string::npos;
+    const bool end = line.find("\"ph\":\"E\"") != std::string::npos;
+    if (!begin && !end) continue;
+    std::vector<std::string>& stack =
+        open[between(line, "\"tid\":", ",\"ts\"")];
+    const std::string name = between(line, "\"name\":\"", "\",\"cat\"");
+    if (begin) {
+      stack.push_back(name);
+      continue;
+    }
+    if (stack.empty()) {
+      ADD_FAILURE() << "E without an open B: " << line;
+      continue;
+    }
+    EXPECT_EQ(stack.back(), name) << "E closes the wrong span: " << line;
+    stack.pop_back();
+    ++pairs;
+  }
+  for (const auto& [tid, stack] : open) {
+    EXPECT_TRUE(stack.empty()) << stack.size() << " open spans on tid "
+                               << tid;
+  }
+  return pairs;
+}
+
+TEST(TraceTest, SpansAreNoOpsWithoutARecorder) {
+  ASSERT_EQ(FlightRecorder::current(), nullptr);
   {
     ObsSpan span(Layer::kChem, "orphan");
     EXPECT_FALSE(span.enabled());
     span.annotate("ignored");
   }
-  TraceSession::instant(Layer::kEngine, "orphan-instant");
-  // Nothing to assert beyond "did not crash": there is no session to
+  instant(Layer::kEngine, "orphan-instant");
+  async_end(Layer::kEngine, "orphan-wait", 1,
+            std::chrono::steady_clock::now());
+  FlightRecorder::trigger_overload("tenant", "nothing listening");
+  FlightRecorder::trigger_job_failure("job", "nothing listening");
+  // Nothing to assert beyond "did not crash": there is no recorder to
   // accumulate anything into.
 }
 
-TEST(TraceSessionTest, RecordsBalancedSpansAndLayerLatency) {
-  TraceSession session;
-  session.start();
+TEST(TraceTest, RecordsOneEndPerSpanAndLayerLatency) {
+  FlightRecorder recorder;
+  recorder.install();
   {
     ObsSpan outer(Layer::kCore, "outer");
     ObsSpan inner(Layer::kChem, "inner");
     EXPECT_TRUE(inner.enabled());
   }
-  TraceSession::instant(Layer::kEngine, "tick", "note");
-  session.stop();
+  instant(Layer::kEngine, "tick", "note");
+  recorder.uninstall();
 
-  EXPECT_EQ(session.span_count(), 2u);
-  EXPECT_EQ(session.failed_span_count(), 0u);
-  EXPECT_EQ(session.event_count(), 5u);  // 2 B + 2 E + 1 instant
-  EXPECT_EQ(session.layer_latency(Layer::kCore).count(), 1u);
-  EXPECT_EQ(session.layer_latency(Layer::kChem).count(), 1u);
-  EXPECT_EQ(session.layer_latency(Layer::kReadout).count(), 0u);
-
-  const auto tracks = session.tracks();
-  ASSERT_EQ(tracks.size(), 1u);
-  int depth = 0;
-  for (const SpanEvent& event : tracks[0].events) {
-    if (event.phase == EventPhase::kBegin) ++depth;
-    if (event.phase == EventPhase::kEnd) {
-      --depth;
-      EXPECT_GE(depth, 0);
-    }
-  }
-  EXPECT_EQ(depth, 0);
+  const RecorderDump dump = recorder.dump();
+  ASSERT_EQ(dump.events.size(), 3u);  // 2 span ends + 1 instant
+  EXPECT_EQ(dump.events[0].event.name, "inner");  // inner ends first
+  EXPECT_EQ(dump.events[1].event.name, "outer");
+  EXPECT_GE(dump.events[1].dur_ns, dump.events[0].dur_ns);
+  const LayerSpanStats stats(dump);
+  EXPECT_EQ(stats.latency[static_cast<std::size_t>(Layer::kCore)].count(),
+            1u);
+  EXPECT_EQ(stats.latency[static_cast<std::size_t>(Layer::kChem)].count(),
+            1u);
+  EXPECT_EQ(
+      stats.latency[static_cast<std::size_t>(Layer::kReadout)].count(), 0u);
+  EXPECT_EQ(balanced_pairs(chrome_trace_json(dump)), 2u);
 }
 
-TEST(TraceSessionTest, FailedSpanCarriesErrorDescription) {
-  TraceSession session;
-  session.start();
+TEST(TraceTest, FailedSpanCarriesErrorDescription) {
+  FlightRecorder recorder;
+  recorder.install();
   {
     ObsSpan span(Layer::kAnalysis, "fit");
     span.fail(make_error(ErrorCode::kAnalysis, Layer::kAnalysis,
                          "calibrate", "slope is not positive"));
   }
-  session.stop();
-  EXPECT_EQ(session.failed_span_count(), 1u);
-  EXPECT_EQ(session.layer_failures(Layer::kAnalysis), 1u);
+  recorder.uninstall();
 
-  const auto tracks = session.tracks();
-  ASSERT_EQ(tracks.size(), 1u);
-  const SpanEvent& end = tracks[0].events.back();
+  const RecorderDump dump = recorder.dump();
+  ASSERT_EQ(dump.events.size(), 1u);
+  const SpanEvent& end = dump.events.back().event;
   EXPECT_EQ(end.phase, EventPhase::kEnd);
   EXPECT_TRUE(end.failed);
   EXPECT_NE(end.detail.find("[analysis/calibrate]"), std::string::npos);
   EXPECT_NE(end.detail.find("slope is not positive"), std::string::npos);
+  EXPECT_EQ(
+      LayerSpanStats(dump).failures[static_cast<std::size_t>(
+          Layer::kAnalysis)],
+      1u);
 }
 
-TEST(TraceSessionTest, WatchMarksFailureAndPassesValueThrough) {
-  TraceSession session;
-  session.start();
+TEST(TraceTest, WatchMarksFailureAndPassesValueThrough) {
+  FlightRecorder recorder;
+  recorder.install();
   {
     ObsSpan span(Layer::kReadout, "stage");
     Expected<int> good = span.watch(Expected<int>(7));
@@ -151,72 +194,110 @@ TEST(TraceSessionTest, WatchMarksFailureAndPassesValueThrough) {
         ErrorCode::kNumerics, Layer::kReadout, "acquire", "saturated")));
     EXPECT_FALSE(bad.has_value());
   }
-  session.stop();
-  EXPECT_EQ(session.failed_span_count(), 1u);
+  recorder.uninstall();
+  const RecorderDump dump = recorder.dump();
+  ASSERT_EQ(dump.events.size(), 1u);
+  EXPECT_TRUE(dump.events[0].event.failed);
 }
 
-TEST(TraceSessionTest, RestartClearsPreviousEvents) {
-  TraceSession session;
-  session.start();
+TEST(TraceTest, ReinstallClearsPreviousEvents) {
+  FlightRecorder recorder;
+  recorder.install();
   { ObsSpan span(Layer::kCore, "first"); }
-  session.stop();
-  EXPECT_EQ(session.event_count(), 2u);
+  recorder.uninstall();
+  EXPECT_EQ(recorder.dump().events.size(), 1u);
 
-  session.start();
-  session.stop();
-  EXPECT_EQ(session.event_count(), 0u);
-  EXPECT_EQ(session.span_count(), 0u);
-  EXPECT_EQ(session.layer_latency(Layer::kCore).count(), 0u);
+  recorder.install();
+  recorder.uninstall();
+  const RecorderDump dump = recorder.dump();
+  EXPECT_TRUE(dump.events.empty());
+  EXPECT_EQ(recorder.recorded_events(), 0u);
+  EXPECT_EQ(
+      LayerSpanStats(dump).latency[static_cast<std::size_t>(Layer::kCore)]
+          .count(),
+      0u);
 }
 
 TEST(ExporterTest, ChromeTraceHasMetadataAndBalancedPairs) {
-  TraceSession session;
-  session.start();
+  FlightRecorder recorder;
+  recorder.install();
+  const auto submitted = std::chrono::steady_clock::now();
   {
     ObsSpan span(Layer::kElectrochem, "cv-sweep");
     ObsSpan nested(Layer::kChem, "validate \"x\"\n");
   }
-  TraceSession::async_begin(Layer::kEngine, "queue-wait", 3);
-  TraceSession::async_end(Layer::kEngine, "queue-wait", 3);
-  session.stop();
+  async_end(Layer::kEngine, "queue-wait", 3, submitted);
+  recorder.uninstall();
 
-  const std::string json = chrome_trace_json(session);
+  const std::string json = chrome_trace_json(recorder.dump());
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"electrochem\""), std::string::npos);
   // Escaped quote and newline from the span detail.
   EXPECT_NE(json.find("validate \\\"x\\\"\\n"), std::string::npos);
+  // The one queue-wait event yields both async halves.
+  EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
   EXPECT_NE(json.find("\"id\":\"0x3\""), std::string::npos);
+  EXPECT_EQ(balanced_pairs(json), 2u);
+}
 
-  std::size_t begins = 0, ends = 0, pos = 0;
-  while ((pos = json.find("\"ph\":\"B\"", pos)) != std::string::npos) {
-    ++begins;
-    pos += 8;
+TEST(ExporterTest, WrappedRingAndZeroLengthSpanExportBalancedPairs) {
+  FlightRecorderOptions options;
+  options.ring_capacity_per_thread = 5;
+  FlightRecorder recorder(options);
+  recorder.install();
+  {
+    ObsSpan outer(Layer::kCore, "outer");
+    for (int i = 0; i < 3; ++i) {
+      ObsSpan middle(Layer::kElectrochem, "middle-" + std::to_string(i));
+      ObsSpan inner(Layer::kChem, "inner-" + std::to_string(i));
+    }
   }
-  pos = 0;
-  while ((pos = json.find("\"ph\":\"E\"", pos)) != std::string::npos) {
-    ++ends;
-    pos += 8;
+  recorder.uninstall();
+
+  // Seven span ends went into a five-slot ring: the oldest inner and
+  // middle ends are gone while the spans that enclosed them survive.
+  RecorderDump dump = recorder.dump();
+  EXPECT_EQ(dump.recorded, 7u);
+  EXPECT_EQ(dump.overwritten, 2u);
+  ASSERT_EQ(dump.events.size(), 5u);
+  EXPECT_EQ(dump.events.front().event.name, "inner-1");
+  EXPECT_EQ(dump.events.back().event.name, "outer");
+
+  // Zero-length spans on the same track, one where a span begins and
+  // one where a span ends, as a coarse clock would record them.
+  const RecorderEvent& middle = dump.events[3];  // "middle-2"
+  ASSERT_EQ(middle.event.name, "middle-2");
+  for (const std::uint64_t ts :
+       {middle.event.ts_ns - middle.dur_ns, middle.event.ts_ns}) {
+    RecorderEvent zero = middle;
+    zero.event.name = "zero";
+    zero.event.ts_ns = ts;
+    zero.dur_ns = 0;
+    dump.events.push_back(zero);
   }
-  EXPECT_EQ(begins, 2u);
-  EXPECT_EQ(ends, 2u);
+  EXPECT_EQ(balanced_pairs(chrome_trace_json(dump)), 7u);
 }
 
 TEST(ExporterTest, JsonlEmitsOneLinePerEvent) {
-  TraceSession session;
-  session.start();
+  FlightRecorder recorder;
+  recorder.install();
   { ObsSpan span(Layer::kCore, "measure"); }
-  TraceSession::instant(Layer::kEngine, "sim-cache-hit");
-  session.stop();
+  instant(Layer::kEngine, "sim-cache-hit");
+  recorder.uninstall();
 
-  const std::string jsonl = jsonl_events(session);
+  const RecorderDump dump = recorder.dump();
+  const std::string jsonl = jsonl_events(dump);
   std::size_t lines = 0;
   for (char c : jsonl) {
     if (c == '\n') ++lines;
   }
-  EXPECT_EQ(lines, session.event_count());
+  EXPECT_EQ(lines, dump.events.size());
+  EXPECT_NE(jsonl.find("{\"tid\":1,"), std::string::npos);
   EXPECT_NE(jsonl.find("\"phase\":\"instant\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"failed\":false"), std::string::npos);
+  EXPECT_NE(jsonl.find("\"dur_ns\":"), std::string::npos);
 }
 
 TEST(ExporterTest, PrometheusHistogramIsCumulativeWithInfBucket) {
@@ -276,59 +357,53 @@ TEST(ExporterTest, BuildInfoGaugeCarriesVersionAndCompiler) {
   EXPECT_NE(text.find("} 1"), std::string::npos);
 }
 
-// -- per-thread buffer cap under contention (8 writers) ---------------
+// -- per-thread rings under contention (8 writers) --------------------
 
-TEST(TraceSessionStress, EightThreadsHitTheirBufferCapsExactly) {
+TEST(FlightRecorderStress, EightWritersOverwriteExactly) {
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kPerThread = 500;
   constexpr std::size_t kCap = 64;
 
-  TraceSessionOptions options;
-  options.max_events_per_thread = kCap;
-  TraceSession session(options);
-  session.start();
+  FlightRecorderOptions options;
+  options.ring_capacity_per_thread = kCap;
+  FlightRecorder recorder(options);
+  recorder.install();
   {
     std::vector<std::thread> writers;
     writers.reserve(kThreads);
     for (std::size_t t = 0; t < kThreads; ++t) {
       writers.emplace_back([t] {
         for (std::size_t i = 0; i < kPerThread; ++i) {
-          TraceSession::instant(Layer::kEngine,
-                                "stress-" + std::to_string(t));
+          instant(Layer::kEngine, "stress-" + std::to_string(t));
         }
       });
     }
     for (std::thread& w : writers) w.join();
   }
-  session.stop();
+  recorder.uninstall();
 
-  // The cap is per thread and exact: each writer stores kCap events and
-  // drops the rest, with nothing lost or double-counted across threads.
-  EXPECT_EQ(session.event_count(), kThreads * kCap);
-  EXPECT_EQ(session.dropped_events(), kThreads * (kPerThread - kCap));
+  // The ring is per thread and its accounting exact: each writer keeps
+  // its newest kCap events and overwrites the rest, with nothing lost
+  // or double-counted across threads.
+  EXPECT_EQ(recorder.recorded_events(), kThreads * kPerThread);
+  EXPECT_EQ(recorder.overwritten_events(), kThreads * (kPerThread - kCap));
+  const RecorderDump dump = recorder.dump();
+  EXPECT_EQ(dump.events.size(), kThreads * kCap);
 
-  // A session saturated at its cap must still export cleanly: one JSONL
-  // line per surviving event, and a parsable Chrome trace envelope.
-  const std::string jsonl = jsonl_events(session);
+  // A wrapped store must still export cleanly: one JSONL line per
+  // surviving event, and a parsable Chrome trace envelope.
+  const std::string jsonl = jsonl_events(dump);
   std::size_t lines = 0;
   for (char c : jsonl) {
     if (c == '\n') ++lines;
   }
-  EXPECT_EQ(lines, session.event_count());
-  const std::string chrome = chrome_trace_json(session);
+  EXPECT_EQ(lines, dump.events.size());
+  const std::string chrome = chrome_trace_json(dump);
   EXPECT_NE(chrome.find("\"traceEvents\""), std::string::npos);
   EXPECT_EQ(chrome.back(), '\n');
 }
 
 // -- flight recorder --------------------------------------------------
-
-TEST(FlightRecorderTest, NoOpWithoutAnInstalledRecorder) {
-  ASSERT_EQ(FlightRecorder::current(), nullptr);
-  { ObsSpan span(Layer::kChem, "orphan"); }
-  FlightRecorder::trigger_overload("tenant", "nothing listening");
-  FlightRecorder::trigger_job_failure("job", "nothing listening");
-  // No recorder, no crash — and nothing to observe.
-}
 
 TEST(FlightRecorderTest, RecordsSpanEndsAndInstantsWithDurations) {
   FlightRecorder recorder;
@@ -336,7 +411,7 @@ TEST(FlightRecorderTest, RecordsSpanEndsAndInstantsWithDurations) {
   {
     ObsSpan span(Layer::kTransport, "crank-step");
   }
-  TraceSession::instant(Layer::kEngine, "cache-hit", "warm");
+  instant(Layer::kEngine, "cache-hit", "warm");
   recorder.uninstall();
 
   EXPECT_EQ(recorder.recorded_events(), 2u);
@@ -359,7 +434,7 @@ TEST(FlightRecorderTest, RingOverwritesOldestWithExactAccounting) {
   FlightRecorder recorder(options);
   recorder.install();
   for (int i = 0; i < 20; ++i) {
-    TraceSession::instant(Layer::kCore, "tick-" + std::to_string(i));
+    instant(Layer::kCore, "tick-" + std::to_string(i));
   }
   recorder.uninstall();
 
@@ -380,14 +455,14 @@ TEST(FlightRecorderTest, ScopedContextAttributesAndNests) {
   recorder.install();
   {
     FlightRecorder::ScopedContext outer("tenant-a", 7);
-    TraceSession::instant(Layer::kService, "outer-event");
+    instant(Layer::kService, "outer-event");
     {
       FlightRecorder::ScopedContext inner("tenant-b", 9);
-      TraceSession::instant(Layer::kService, "inner-event");
+      instant(Layer::kService, "inner-event");
     }
-    TraceSession::instant(Layer::kService, "outer-again");
+    instant(Layer::kService, "outer-again");
   }
-  TraceSession::instant(Layer::kService, "unattributed");
+  instant(Layer::kService, "unattributed");
   recorder.uninstall();
 
   const RecorderDump dump = recorder.dump("manual", "tenant-a");
@@ -413,7 +488,7 @@ TEST(FlightRecorderTest, FirstTriggerLatchesAndAutoDumps) {
   recorder.install();
   {
     FlightRecorder::ScopedContext tenant("clinic-x", 3);
-    TraceSession::instant(Layer::kService, "pre-incident");
+    instant(Layer::kService, "pre-incident");
     FlightRecorder::trigger_overload("clinic-x", "queue full");
   }
   FlightRecorder::trigger_overload("clinic-y", "second incident");
@@ -430,6 +505,8 @@ TEST(FlightRecorderTest, FirstTriggerLatchesAndAutoDumps) {
     EXPECT_EQ(ev.tenant, "clinic-x");
   }
   // And it was written to disk.
+  EXPECT_TRUE(first.auto_dump_written);
+  EXPECT_TRUE(recorder.auto_dump_written());
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
@@ -439,6 +516,28 @@ TEST(FlightRecorderTest, FirstTriggerLatchesAndAutoDumps) {
   EXPECT_NE(buffer.str().find("\"tenant\":\"clinic-x\""),
             std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(FlightRecorderTest, AutoDumpReportsAnUnwritablePath) {
+  FlightRecorderOptions options;
+  options.auto_dump_path =
+      ::testing::TempDir() + "biosens-missing-dir/flight.json";
+  FlightRecorder recorder(options);
+  recorder.install();
+  FlightRecorder::trigger_overload("clinic-x", "queue full");
+  IntrospectionReport report;
+  fill_recorder_stats(report);
+  recorder.uninstall();
+
+  // The trigger still latches; only the file is missing, and both the
+  // latched dump and the introspection report say so.
+  EXPECT_TRUE(recorder.triggered());
+  EXPECT_FALSE(recorder.first_trigger_dump().auto_dump_written);
+  EXPECT_FALSE(recorder.auto_dump_written());
+  EXPECT_TRUE(report.recorder_triggered);
+  EXPECT_FALSE(report.recorder_dump_written);
+  EXPECT_NE(report.to_json().find("\"dump_written\":false"),
+            std::string::npos);
 }
 
 TEST(FlightRecorderTest, DisabledTriggerKindsOnlyCount) {
@@ -641,7 +740,7 @@ TEST(IntrospectionTest, RecorderStatsSurfaceWhenInstalled) {
 
   FlightRecorder recorder;
   recorder.install();
-  TraceSession::instant(Layer::kCore, "blip");
+  instant(Layer::kCore, "blip");
   IntrospectionReport warm;
   fill_recorder_stats(warm);
   recorder.uninstall();
@@ -766,36 +865,39 @@ TEST_F(TracedBatch, TracingDoesNotPerturbResults) {
 
   for (const std::size_t workers : {std::size_t{0}, std::size_t{1},
                                     std::size_t{8}}) {
-    obs::TraceSession session;
+    obs::FlightRecorderOptions trace_sized;
+    trace_sized.ring_capacity_per_thread = std::size_t{1} << 20;
+    obs::FlightRecorder recorder(trace_sized);
     engine::EngineOptions eo;
     eo.workers = workers;
-    eo.trace = &session;
     engine::Engine traced(eo);
+    recorder.install();
     const std::string fp = fingerprint(
         platform_.run_panel_batch(samples_, traced, options).reports);
+    recorder.uninstall();
     EXPECT_EQ(fp, baseline) << "tracing perturbed results at " << workers
                             << " workers";
-    EXPECT_GT(session.span_count(), 0u);
-  }
-}
 
-TEST_F(TracedBatch, EngineStartsAndStopsItsTraceSession) {
-  obs::TraceSession session;
-  engine::EngineOptions eo;
-  eo.trace = &session;
-  engine::Engine engine(eo);
-
-  EXPECT_FALSE(session.active());
-  platform_.run_panel_batch(samples_, engine, {});
-  EXPECT_FALSE(session.active());  // stopped after the batch...
-  EXPECT_GT(session.event_count(), 0u);  // ...with the events retained
-
-  // The trace covers every instrumented layer of the glucose pipeline.
-  for (const Layer layer :
-       {Layer::kChem, Layer::kTransport, Layer::kElectrochem,
-        Layer::kReadout, Layer::kCore, Layer::kEngine}) {
-    EXPECT_GT(session.layer_latency(layer).count(), 0u)
-        << "no spans recorded for layer " << to_string(layer);
+    // The trace covers every instrumented layer of the glucose pipeline,
+    // and each job's queue wait is one async-end event.
+    const obs::RecorderDump dump = recorder.dump();
+    EXPECT_EQ(dump.overwritten, 0u);
+    const obs::LayerSpanStats stats(dump);
+    for (const Layer layer :
+         {Layer::kChem, Layer::kTransport, Layer::kElectrochem,
+          Layer::kReadout, Layer::kCore, Layer::kEngine}) {
+      EXPECT_GT(stats.latency[static_cast<std::size_t>(layer)].count(), 0u)
+          << "no spans recorded for layer " << to_string(layer) << " at "
+          << workers << " workers";
+    }
+    std::size_t queue_waits = 0;
+    for (const obs::RecorderEvent& ev : dump.events) {
+      if (ev.event.phase == obs::EventPhase::kAsyncEnd &&
+          ev.event.name == "queue-wait") {
+        ++queue_waits;
+      }
+    }
+    EXPECT_EQ(queue_waits, samples_.size());
   }
 }
 
@@ -809,14 +911,16 @@ TEST_F(TracedBatch, QueueWaitIsRecordedIndependentlyOfTracing) {
 }
 
 TEST_F(TracedBatch, PrometheusTextCoversMetricsAndLayers) {
-  obs::TraceSession session;
   engine::EngineOptions eo;
   eo.sim_cache_capacity = 64;
-  eo.trace = &session;
   engine::Engine engine(eo);
+  obs::FlightRecorder recorder;
+  recorder.install();
   platform_.run_panel_batch(samples_, engine, {});
+  recorder.uninstall();
 
-  const std::string text = engine.prometheus_text();
+  const obs::RecorderDump trace = recorder.dump();
+  const std::string text = engine.prometheus_text(&trace);
   EXPECT_NE(text.find("biosens_jobs_succeeded_total"), std::string::npos);
   EXPECT_NE(text.find("biosens_sim_cache_hits_total"), std::string::npos);
   EXPECT_NE(text.find("biosens_sim_cache_misses_total"),

@@ -182,6 +182,31 @@ TEST(ServiceDeterminism, CorruptSnapshotsFailStructurally) {
   auto trailing = SessionSnapshot::try_decode(encoded + "extra 1\n");
   ASSERT_FALSE(trailing.has_value());
   EXPECT_EQ(trailing.error().code, ErrorCode::kSpec);
+
+  // A one-record stream, then two corruptions of it that would restore
+  // quietly if the decoder wrapped decimals or accepted sparse indices.
+  SessionSnapshot one = snapshot;
+  one.next_index = 1;
+  one.completed = 1;
+  one.records = {MeasurementRecord{0, 0.0, 1.0, true}};
+  const std::string dense = one.encode();
+  ASSERT_TRUE(SessionSnapshot::try_decode(dense).has_value());
+
+  // 2^64 + 1 must not wrap to the 1 the record count wants.
+  std::string overflowed = dense;
+  const std::size_t at = overflowed.find("completed 1\n");
+  ASSERT_NE(at, std::string::npos);
+  overflowed.replace(at, 12, "completed 18446744073709551617\n");
+  auto wrapped = SessionSnapshot::try_decode(overflowed);
+  ASSERT_FALSE(wrapped.has_value());
+  EXPECT_EQ(wrapped.error().code, ErrorCode::kSpec);
+
+  // The service writes record i with index i; anything else is corrupt.
+  SessionSnapshot sparse = one;
+  sparse.records[0].index = 5;
+  auto gap = SessionSnapshot::try_decode(sparse.encode());
+  ASSERT_FALSE(gap.has_value());
+  EXPECT_EQ(gap.error().code, ErrorCode::kSpec);
 }
 
 TEST(ServiceDeterminism, RngStateRoundTripIncludesNormalCache) {

@@ -10,8 +10,6 @@ word can no longer fool the lint.
 Checks (check-id -> invariant):
   throw-discipline        throw/try/catch confined to
                           src/common/{error,expected}.hpp
-  span-discipline         raw emit_span_event / EventPhase use confined
-                          to src/obs/
   span-temporary          every ObsSpan is a named local, never a
                           discarded temporary (which would destruct
                           immediately and record a zero-length span)
@@ -34,6 +32,9 @@ Checks (check-id -> invariant):
                           *Sim types) directly — core reaches
                           signal generation only through the
                           core::Transducer seam
+  recorder-discipline     raw event machinery (EventPhase,
+                          RecorderEvent, record_event) and health-reason
+                          minting (add_reason) confined to src/obs/
   stale-suppression       every `biosens-lint: allow(...)` directive
                           must actually suppress a finding — an allow()
                           that matches nothing is dead weight that
@@ -355,27 +356,6 @@ class ThrowDiscipline(Check):
                     src.path, tok.line, self.check_id,
                     f"'{tok.text}' outside src/common/{{error,expected}}.hpp"
                     " — report failure through Expected<T> instead"))
-        return out
-
-
-class SpanDiscipline(Check):
-    """Raw span-event machinery stays inside src/obs/: an unbalanced
-    begin/end pair emitted elsewhere corrupts every exported trace."""
-
-    check_id = "span-discipline"
-    ALLOWED_DIRS = ("src/obs/",)
-    BANNED = ("emit_span_event", "EventPhase")
-
-    def run(self, src: SourceFile) -> list:
-        if in_dirs(src.effective_path, self.ALLOWED_DIRS):
-            return []
-        out = []
-        for tok in src.tokens:
-            if tok.kind == IDENT and tok.text in self.BANNED:
-                out.append(Finding(
-                    src.path, tok.line, self.check_id,
-                    f"raw span primitive '{tok.text}' outside src/obs/ — "
-                    "open spans through the obs::ObsSpan RAII type"))
         return out
 
 
@@ -745,19 +725,20 @@ class TransducerDiscipline(Check):
 
 
 class RecorderDiscipline(Check):
-    """The flight recorder and health model observe without perturbing,
-    and that only holds while raw emission stays inside src/obs/: other
-    layers attribute via FlightRecorder::ScopedContext, signal incidents
-    via the trigger_* helpers, and describe their state through
-    HealthInputs. Direct event construction (RecorderEvent,
-    record_event) or reason fabrication (add_reason) outside src/obs/
-    bypasses the ring accounting and the policy thresholds
-    (docs/operations.md)."""
+    """The flight recorder (the one event store) and the health model
+    observe without perturbing, and that only holds while raw emission
+    stays inside src/obs/: other layers record through ObsSpan,
+    instant and async_end, attribute via FlightRecorder::ScopedContext,
+    signal incidents via the trigger_* helpers, and describe their state
+    through HealthInputs. Direct event construction (EventPhase,
+    RecorderEvent, record_event) or reason fabrication (add_reason)
+    outside src/obs/ bypasses the ring accounting and the policy
+    thresholds (docs/operations.md)."""
 
     check_id = "recorder-discipline"
     SCOPE_DIRS = ("src/",)
     ALLOWED_DIRS = ("src/obs/",)
-    BANNED = {"record_event", "RecorderEvent", "add_reason"}
+    BANNED = {"EventPhase", "record_event", "RecorderEvent", "add_reason"}
 
     def run(self, src: SourceFile) -> list:
         if not in_dirs(src.effective_path, self.SCOPE_DIRS):
@@ -770,7 +751,8 @@ class RecorderDiscipline(Check):
                 out.append(Finding(
                     src.path, tok.line, self.check_id,
                     f"recorder/health primitive '{tok.text}' outside "
-                    "src/obs/ — attribute via "
+                    "src/obs/ — record through ObsSpan / instant / "
+                    "async_end, attribute via "
                     "FlightRecorder::ScopedContext, signal via "
                     "trigger_overload / trigger_job_failure, and report "
                     "state through HealthInputs (docs/operations.md)"))
@@ -795,7 +777,7 @@ class StaleSuppression:
         return []  # needs post-suppression state; see the driver
 
 
-ALL_CHECKS = [ThrowDiscipline(), SpanDiscipline(), SpanTemporary(),
+ALL_CHECKS = [ThrowDiscipline(), SpanTemporary(),
               DeterminismDiscipline(), ExpectedDiscard(), NodiscardDecl(),
               HotPathDiscipline(), ServiceDiscipline(),
               TransducerDiscipline(), RecorderDiscipline(),
@@ -1022,11 +1004,6 @@ def lint_files_clang(files: list, root: str, compdb_path: str | None,
                     not is_file(eff, ThrowDiscipline.ALLOWED):
                 emit("throw-discipline",
                      "exception construct outside the error core")
-            if k == CursorKind.DECL_REF_EXPR and \
-                    cursor.spelling == "emit_span_event" and \
-                    not in_dirs(eff, SpanDiscipline.ALLOWED_DIRS):
-                emit("span-discipline",
-                     "raw emit_span_event outside src/obs/")
             if k in (CursorKind.TYPE_REF, CursorKind.DECL_REF_EXPR) and \
                     cursor.spelling.split("::")[-1] in banned_det | \
                     {"rand", "srand"} and \

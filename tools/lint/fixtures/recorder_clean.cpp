@@ -1,9 +1,13 @@
 // biosens-lint-fixture: src/service/fixture_recorder_clean.cpp
-// Legal constructs the recorder-discipline check must stay silent on:
-// the sanctioned attribution / trigger / stats surface, and
-// identifiers that merely contain a banned word.
+// Legal constructs the recorder-discipline and span-temporary checks
+// must stay silent on: named ObsSpan locals (the RAII contract), a span
+// taken by reference, the sanctioned instant / attribution / trigger /
+// stats surface, banned words in strings and comments, and identifiers
+// that merely contain a banned word.
 #include <cstdint>
 #include <string>
+
+#include "obs/span.hpp"
 
 namespace biosens::obs {
 
@@ -26,6 +30,19 @@ struct HealthInputs {
 }  // namespace biosens::obs
 
 namespace biosens::service {
+
+double fixture_named_span(double x) {
+  obs::ObsSpan span(Layer::kService, "measure");
+  obs::ObsSpan detail_span{Layer::kService, "measure", "detail"};
+  obs::instant(Layer::kService, "svc-overloaded", "clinic-a");
+  return x;
+}
+
+void fixture_span_by_reference(obs::ObsSpan& span, const char** out) {
+  span.annotate("fixture");
+  // Strings and comments may say record_event or EventPhase::kEnd:
+  *out = "EventPhase::kEnd record_event RecorderEvent";
+}
 
 // Attribution, triggering, and stats reads are the public seam — all
 // fine outside src/obs/.

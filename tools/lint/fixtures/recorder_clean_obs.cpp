@@ -1,10 +1,13 @@
 // biosens-lint-fixture: src/obs/fixture_recorder_home.cpp
-// Inside src/obs/ the raw primitives are legal: this is where the ring
-// accounting and the health policy live.
+// Inside src/obs/ the raw primitives are legal: this is where the event
+// phases, the ring accounting and the health policy live — every
+// recorder and span check is scoped out here.
 namespace biosens::obs {
 
+enum class EventPhase { kEnd };
+
 struct RecorderEvent {
-  int payload = 0;
+  EventPhase phase = EventPhase::kEnd;
 };
 
 struct FakeRing {
@@ -18,6 +21,7 @@ void add_reason(Report& report, int severity) {
 
 void fixture_home_layer(FakeRing& ring) {
   ring.record_event(RecorderEvent{});
+  ObsSpan(Layer::kCommon, "obs-internal-temporary-is-fine");
 }
 
 }  // namespace biosens::obs
