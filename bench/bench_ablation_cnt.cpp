@@ -22,7 +22,7 @@ struct AblationResult {
 
 AblationResult run_with(const electrode::Modification& film, Rng& rng) {
   core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT/Nafion + GOD (this work)");
+      core::try_entry("MWCNT/Nafion + GOD (this work)").value();
   const double loading = entry.spec.assembly.loading_monolayers;
 
   core::SensorSpec spec = entry.spec;
@@ -36,7 +36,7 @@ AblationResult run_with(const electrode::Modification& film, Rng& rng) {
   const core::CalibrationProtocol protocol;
   const auto series = core::standard_series(entry.published.range_low,
                                             entry.published.range_high);
-  const auto result = protocol.run(sensor, series, rng).result;
+  const auto result = protocol.try_run(sensor, series, rng).value().result;
 
   AblationResult out;
   out.film = film.name;

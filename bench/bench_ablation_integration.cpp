@@ -23,7 +23,7 @@ void print_area_sweep() {
   std::printf(
       "  area [mm2] | steady current | response t95 | min sample\n");
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT/Nafion + GOD (this work)");
+      core::try_entry("MWCNT/Nafion + GOD (this work)").value();
   for (double mm2 : {13.0, 4.0, 1.0, 0.25, 0.0625}) {
     core::SensorSpec spec = entry.spec;
     spec.assembly.geometry.working_area = Area::square_millimeters(mm2);
@@ -31,7 +31,7 @@ void print_area_sweep() {
     spec.assembly.geometry.min_sample_volume =
         Volume::microliters(5.0 * mm2 / 0.25);
     const electrode::EffectiveLayer layer =
-        electrode::synthesize(spec.assembly);
+        electrode::try_synthesize(spec.assembly).value();
     electrochem::Cell cell(
         layer,
         chem::calibration_sample("glucose", Concentration::milli_molar(0.5)),
@@ -39,7 +39,7 @@ void print_area_sweep() {
     const electrochem::ChronoamperometrySim sim(
         std::move(cell), electrochem::standard_oxidase_step());
     std::printf("  %10.4f | %14s | %12s | %s\n", mm2,
-                to_string(sim.steady_state()).c_str(),
+                to_string(sim.try_steady_state().value()).c_str(),
                 to_string(sim.response_time_95()).c_str(),
                 to_string(spec.assembly.geometry.min_sample_volume).c_str());
   }
@@ -54,7 +54,7 @@ void print_integration_sweep() {
       "\n(b) readout integration sweep — measured blank noise vs smoothing\n");
   std::printf("  smoothing window | blank sigma [pA] | LOD [uM]\n");
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT/Nafion + GOD (this work)");
+      core::try_entry("MWCNT/Nafion + GOD (this work)").value();
   const core::BiosensorModel sensor(entry.spec);
   const auto series = core::standard_series(entry.published.range_low,
                                             entry.published.range_high);
@@ -69,13 +69,13 @@ void print_integration_sweep() {
     std::vector<double> blanks;
     for (int i = 0; i < 16; ++i) {
       blanks.push_back(
-          swept.measure(chem::blank_sample(), rng).response_a);
+          swept.try_measure(chem::blank_sample(), rng).value().response_a);
     }
     const double sigma = sample_stddev(blanks);
     // LOD implied with the sensor's calibrated slope.
     core::CalibrationProtocol protocol;
     Rng rng2(7);
-    const auto cal = protocol.run(swept, series, rng2).result;
+    const auto cal = protocol.try_run(swept, series, rng2).value().result;
     std::printf("  %16zu | %16.1f | %8.2f\n", window, sigma * 1e12,
                 3.0 * sigma / cal.fit.slope * 1e3);
   }
@@ -88,12 +88,12 @@ void print_integration_sweep() {
 
 void BM_BlankMeasurement(benchmark::State& state) {
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT/Nafion + GOD (this work)");
+      core::try_entry("MWCNT/Nafion + GOD (this work)").value();
   const core::BiosensorModel sensor(entry.spec);
   Rng rng(1);
   const chem::Sample blank = chem::blank_sample();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sensor.measure(blank, rng));
+    benchmark::DoNotOptimize(sensor.try_measure(blank, rng).value());
   }
 }
 BENCHMARK(BM_BlankMeasurement)->Unit(benchmark::kMillisecond);

@@ -4,16 +4,12 @@
 //
 // The workload is the service scenario of the ROADMAP: a cohort of 240
 // virtual patients, each contributing one serum sample assayed on the
-// two-sensor glucose+CYP panel. Real assays are dominated by instrument
-// dwell (electrode hold + settling — hundreds of seconds per panel on
-// the physical device), which is exactly what a parallel scheduler
-// overlaps across instruments; the bench emulates that dwell at a
-// millisecond scale (hardware-in-the-loop emulation, EngineOptions::
-// dwell_scale), so the speedup measured here is the speedup of the
-// schedule, not of the arithmetic. Results are asserted byte-identical
-// between the serial reference and every parallel run (the engine's
-// seed-derivation contract, docs/determinism.md); the bench exits
-// nonzero on any divergence.
+// two-sensor glucose+CYP panel. Every job is real simulation compute
+// (no emulated instrument dwell), so the speedup measured here is what
+// the workers gain on the machine's cores. Results are asserted
+// byte-identical between the serial reference and every parallel run
+// (the engine's seed-derivation contract, docs/determinism.md); the
+// bench exits nonzero on any divergence.
 //
 // A second, failure-heavy section measures the cost of the engine's two
 // failure paths on an all-failing custom batch: job bodies that *throw*
@@ -45,8 +41,7 @@ constexpr std::uint64_t kBatchSeed = 2012;
 core::Platform make_panel() {
   // Point-of-care acquisition settings: coarser simulation resolution
   // (the real instrument's 10 Hz sampling, not the lab-grade default),
-  // so each panel's arithmetic is cheap and the *schedule* — overlapping
-  // instrument dwell across jobs — is what this bench measures.
+  // so a 240-panel cohort finishes in seconds.
   core::MeasurementOptions poc;
   poc.chrono.duration = Time::seconds(10.0);
   poc.chrono.dt = Time::milliseconds(100.0);
@@ -55,8 +50,8 @@ core::Platform make_panel() {
   poc.smoothing_window = 3;
 
   core::Platform p;
-  p.add_sensor(core::entry_or_throw("MWCNT/Nafion + GOD (this work)"), poc);
-  p.add_sensor(core::entry_or_throw("MWCNT + CYP (cyclophosphamide)"), poc);
+  p.add_sensor(core::try_entry("MWCNT/Nafion + GOD (this work)").value(), poc);
+  p.add_sensor(core::try_entry("MWCNT + CYP (cyclophosphamide)").value(), poc);
   return p;
 }
 
@@ -108,9 +103,9 @@ struct RunResult {
 
 RunResult run_once(const core::Platform& platform,
                    const std::vector<chem::Sample>& samples,
-                   std::size_t workers, double dwell_scale) {
-  engine::Engine eng(engine::EngineOptions{
-      .workers = workers, .queue_capacity = 64, .dwell_scale = dwell_scale});
+                   std::size_t workers) {
+  engine::Engine eng(
+      engine::EngineOptions{.workers = workers, .queue_capacity = 64});
   core::PanelBatchOptions options;
   options.seed = kBatchSeed;
 
@@ -204,14 +199,10 @@ FailureRun run_failure_path(FailurePath path) {
 }
 
 std::string runs_json(const std::vector<RunResult>& runs,
-                      bool deterministic, double dwell_ms,
+                      bool deterministic,
                       const std::vector<FailureRun>& failure_runs) {
   std::string json = "{\n  \"patients\": " + std::to_string(kPatients) +
-                     ",\n  \"emulated_dwell_ms\": ";
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.3f", dwell_ms);
-  json += buffer;
-  json += ",\n  \"runs\": [\n";
+                     ",\n  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     char line[160];
     std::snprintf(line, sizeof(line),
@@ -260,7 +251,7 @@ void register_timings(const core::Platform& platform,
                                  Rng rng(7);
                                  for (auto _ : state) {
                                    benchmark::DoNotOptimize(
-                                       plat.assay(smpl[0], rng));
+                                       plat.try_assay(smpl[0], rng).value());
                                  }
                                });
   benchmark::RegisterBenchmark("BM_RngChildDerivation",
@@ -284,35 +275,16 @@ int main(int argc, char** argv) {
   const core::Platform platform = [] {
     core::Platform p = make_panel();
     Rng rng(2012);
-    p.calibrate_all(rng, quick_options());
+    p.try_calibrate_all(rng, quick_options()).value();
     return p;
   }();
   const std::vector<chem::Sample> samples = cohort_samples(kPatients);
 
-  // Calibrate the emulated instrument dwell to the measured compute cost
-  // so the schedule (not the arithmetic) dominates: dwell ~8x compute,
-  // clamped to [3, 15] ms of real sleep per panel.
-  double compute_s = 1e9;
-  for (int i = 0; i < 3; ++i) {
-    Rng rng(7);
-    const engine::Stopwatch watch;
-    (void)platform.assay(samples[0], rng);
-    compute_s = std::min(compute_s, watch.elapsed_seconds());
-  }
-  const double dwell_target_s =
-      std::clamp(8.0 * compute_s, 3e-3, 15e-3);
-  const double dwell_scale =
-      dwell_target_s / platform.scheduled_panel_time().seconds();
-  std::printf(
-      "\nper-panel compute %.2f ms; emulated instrument dwell %.2f ms "
-      "(scheduled panel time %.0f s, dwell_scale %.2e)\n",
-      compute_s * 1e3, dwell_target_s * 1e3,
-      platform.scheduled_panel_time().seconds(), dwell_scale);
-
+  std::printf("\n");
   std::vector<RunResult> runs;
   for (const std::size_t workers : {std::size_t{0}, std::size_t{2},
                                     std::size_t{4}, std::size_t{8}}) {
-    runs.push_back(run_once(platform, samples, workers, dwell_scale));
+    runs.push_back(run_once(platform, samples, workers));
     RunResult& run = runs.back();
     run.speedup = runs.front().wall_seconds / run.wall_seconds;
     std::printf("%s: %6.3f s wall, %7.1f jobs/s, speedup %.2fx\n",
@@ -360,7 +332,7 @@ int main(int argc, char** argv) {
               failure_runs[2].wall_seconds / failure_runs[1].wall_seconds);
 
   const std::string json =
-      runs_json(runs, deterministic, dwell_target_s * 1e3, failure_runs);
+      runs_json(runs, deterministic, failure_runs);
   std::printf("\n%s", json.c_str());
   if (const char* dir = std::getenv("BIOSENS_EXPORT_DIR")) {
     const std::string path = std::string(dir) + "/engine_throughput.json";

@@ -19,9 +19,9 @@ using namespace biosens;
 void print_cocktail_study() {
   std::printf("\n(a) two-drug cocktails through the CYP panel [9]\n");
   const core::BiosensorModel cp(
-      core::entry_or_throw("MWCNT + CYP (cyclophosphamide)").spec);
+      core::try_entry("MWCNT + CYP (cyclophosphamide)").value().spec);
   const core::BiosensorModel ifos(
-      core::entry_or_throw("MWCNT + CYP (ifosfamide)").spec);
+      core::try_entry("MWCNT + CYP (ifosfamide)").value().spec);
   const core::PanelModel model = core::characterize_panel(
       {&cp, &ifos},
       {Concentration::micro_molar(40.0), Concentration::micro_molar(80.0)});
@@ -45,8 +45,8 @@ void print_cocktail_study() {
         {{"cyclophosphamide", Concentration::micro_molar(cp_um)},
          {"ifosfamide", Concentration::micro_molar(if_um)}});
     const std::vector<double> responses = {
-        cp.measure(cocktail, rng).response_a,
-        ifos.measure(cocktail, rng).response_a};
+        cp.try_measure(cocktail, rng).value().response_a,
+        ifos.try_measure(cocktail, rng).value().response_a};
     const auto naive = core::naive_estimates(model, responses);
     const auto unmixed = core::deconvolve(model, responses);
     std::printf("  %6.0f / %-6.0f | %7.1f / %-8.1f | %8.1f / %-8.1f\n",
@@ -64,16 +64,17 @@ void print_cohort_study() {
       "\n(b) population study — maintenance troughs in the therapeutic "
       "window\n");
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT + CYP (cyclophosphamide)");
+      core::try_entry("MWCNT + CYP (cyclophosphamide)").value();
   const core::BiosensorModel sensor(entry.spec);
   Rng rng(77);
   const core::CalibrationProtocol protocol;
   const auto cal =
       protocol
-          .run(sensor,
-               core::standard_series(entry.published.range_low,
-                                     entry.published.range_high),
-               rng)
+          .try_run(sensor,
+                   core::standard_series(entry.published.range_low,
+                                         entry.published.range_high),
+                   rng)
+          .value()
           .result;
 
   const core::PharmacokineticModel population(Volume::liters(30.0),
@@ -110,13 +111,13 @@ void print_cohort_study() {
 
 void BM_CocktailAssay(benchmark::State& state) {
   const core::BiosensorModel cp(
-      core::entry_or_throw("MWCNT + CYP (cyclophosphamide)").spec);
+      core::try_entry("MWCNT + CYP (cyclophosphamide)").value().spec);
   chem::Sample cocktail = core::cocktail_sample(
       {{"cyclophosphamide", Concentration::micro_molar(30.0)},
        {"ifosfamide", Concentration::micro_molar(100.0)}});
   Rng rng(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cp.measure(cocktail, rng));
+    benchmark::DoNotOptimize(cp.try_measure(cocktail, rng).value());
   }
 }
 BENCHMARK(BM_CocktailAssay)->Unit(benchmark::kMillisecond);

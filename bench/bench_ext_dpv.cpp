@@ -24,17 +24,17 @@ struct TechniqueResult {
 
 TechniqueResult measure_with(core::Technique technique, Rng& rng) {
   core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT + CYP (cyclophosphamide)");
+      core::try_entry("MWCNT + CYP (cyclophosphamide)").value();
   core::SensorSpec spec = entry.spec;
   spec.technique = technique;
   const core::BiosensorModel sensor(spec);
 
   const core::CalibrationProtocol protocol;
-  const auto outcome = protocol.run(
+  const auto outcome = protocol.try_run(
       sensor,
       core::standard_series(entry.published.range_low,
                             entry.published.range_high),
-      rng);
+      rng).value();
 
   TechniqueResult result;
   result.technique =
@@ -48,9 +48,9 @@ TechniqueResult measure_with(core::Technique technique, Rng& rng) {
 
 void BM_DpvTraceSimulation(benchmark::State& state) {
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT + CYP (cyclophosphamide)");
+      core::try_entry("MWCNT + CYP (cyclophosphamide)").value();
   const electrode::EffectiveLayer layer =
-      electrode::synthesize(entry.spec.assembly);
+      electrode::try_synthesize(entry.spec.assembly).value();
   const chem::Sample sample = chem::calibration_sample(
       "cyclophosphamide", Concentration::micro_molar(40.0));
   for (auto _ : state) {
@@ -58,7 +58,7 @@ void BM_DpvTraceSimulation(benchmark::State& state) {
     benchmark::DoNotOptimize(
         electrochem::DifferentialPulseSim(std::move(cell),
                                           electrochem::standard_cyp_dpv())
-            .run());
+            .try_run().value());
   }
 }
 BENCHMARK(BM_DpvTraceSimulation);

@@ -18,10 +18,11 @@ using namespace biosens;
 
 electrochem::Cell glucose_cell(Concentration glucose) {
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT/Nafion + GOD (this work)");
-  return electrochem::Cell(electrode::synthesize(entry.spec.assembly),
-                           chem::calibration_sample("glucose", glucose),
-                           electrochem::Hydrodynamics{true, 400.0});
+      core::try_entry("MWCNT/Nafion + GOD (this work)").value();
+  return electrochem::Cell(
+      electrode::try_synthesize(entry.spec.assembly).value(),
+      chem::calibration_sample("glucose", glucose),
+      electrochem::Hydrodynamics{true, 400.0});
 }
 
 void print_material_sweep() {
@@ -58,7 +59,7 @@ void print_lumped_validation() {
   const electrochem::ChronoamperometrySim lumped(
       glucose_cell(Concentration::milli_molar(0.3)),
       electrochem::standard_oxidase_step());
-  const double lumped_a = lumped.steady_state().amps();
+  const double lumped_a = lumped.try_steady_state().value().amps();
   std::printf("  lumped (full collection):   %s\n",
               to_string(Current::amps(lumped_a)).c_str());
   electrochem::PeroxideOptions options;

@@ -75,7 +75,7 @@ void print_stability() {
 
 void BM_StabilityEvaluation(benchmark::State& state) {
   const core::SensorSpec spec =
-      core::entry_or_throw("MWCNT/Nafion + GOD (this work)").spec;
+      core::try_entry("MWCNT/Nafion + GOD (this work)").value().spec;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         core::stability_after(spec, Time::seconds(7.0 * 86400.0)));

@@ -58,7 +58,7 @@ bool byte_identity_holds(const core::CatalogEntry& entry) {
       entry.spec.target, Concentration::milli_molar(2.0));
   engine::SimCache cache(engine::SimCacheOptions{.capacity = 64});
   Rng a(7), b(7), c(7);
-  const double uncached = sensor.measure(sample, a).response_a;
+  const double uncached = sensor.try_measure(sample, a).value().response_a;
   const double cold =
       sensor.try_measure(sample, b, &cache).value().response_a;
   const double warm =
@@ -76,25 +76,25 @@ bool byte_identity_holds(const core::CatalogEntry& entry) {
 
 void BM_FetSingleMeasurement(benchmark::State& state) {
   const core::BiosensorModel sensor(
-      core::entry_or_throw("CNT-BA FET").spec);
+      core::try_entry("CNT-BA FET").value().spec);
   const chem::Sample sample =
       chem::calibration_sample("glucose", Concentration::milli_molar(5.0));
   Rng rng(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sensor.measure(sample, rng));
+    benchmark::DoNotOptimize(sensor.try_measure(sample, rng).value());
   }
 }
 BENCHMARK(BM_FetSingleMeasurement)->Unit(benchmark::kMillisecond);
 
 void BM_FetCalibration(benchmark::State& state) {
-  const core::CatalogEntry entry = core::entry_or_throw("CNT-BA FET");
+  const core::CatalogEntry entry = core::try_entry("CNT-BA FET").value();
   const core::BiosensorModel sensor(entry.spec);
   const core::CalibrationProtocol protocol;
   const auto series = core::standard_series(entry.published.range_low,
                                             entry.published.range_high);
   Rng rng(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(protocol.run(sensor, series, rng));
+    benchmark::DoNotOptimize(protocol.try_run(sensor, series, rng).value());
   }
 }
 BENCHMARK(BM_FetCalibration)->Unit(benchmark::kMillisecond);
@@ -127,10 +127,10 @@ int main(int argc, char** argv) {
   // warm-cache rate (transfer-curve physics memoized, noise re-drawn).
   const std::size_t reps = smoke ? 200 : 2000;
   const core::BiosensorModel amp(
-      core::entry_or_throw("MWCNT/Nafion + GOD (this work)").spec);
+      core::try_entry("MWCNT/Nafion + GOD (this work)").value().spec);
   const chem::Sample amp_sample =
       chem::calibration_sample("glucose", Concentration::milli_molar(0.5));
-  const core::BiosensorModel fet(core::entry_or_throw("CNT-BA FET").spec);
+  const core::BiosensorModel fet(core::try_entry("CNT-BA FET").value().spec);
   const chem::Sample fet_sample =
       chem::calibration_sample("glucose", Concentration::milli_molar(5.0));
 

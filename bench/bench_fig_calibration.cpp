@@ -20,7 +20,8 @@ void print_figure() {
     const core::BiosensorModel sensor(entry.spec);
     const auto series = core::standard_series(entry.published.range_low,
                                               entry.published.range_high);
-    const core::ProtocolOutcome outcome = protocol.run(sensor, series, rng);
+    const core::ProtocolOutcome outcome =
+        protocol.try_run(sensor, series, rng).value();
 
     std::printf("\n%s — %s\n", entry.spec.target.c_str(),
                 std::string(core::to_string(entry.spec.technique)).c_str());
@@ -54,7 +55,7 @@ void BM_FullPlatformCalibration(benchmark::State& state) {
     core::ProtocolOptions options;
     options.blank_repeats = 4;
     options.replicates = 1;
-    platform.calibrate_all(rng, options);
+    platform.try_calibrate_all(rng, options).value();
   }
 }
 BENCHMARK(BM_FullPlatformCalibration)->Unit(benchmark::kMillisecond);

@@ -22,20 +22,20 @@ using namespace biosens;
 electrochem::TimeSeries trace_at(const core::CatalogEntry& entry,
                                  Concentration c) {
   const electrode::EffectiveLayer layer =
-      electrode::synthesize(entry.spec.assembly);
+      electrode::try_synthesize(entry.spec.assembly).value();
   electrochem::Cell cell(layer,
                          chem::calibration_sample("glucose", c),
                          electrochem::Hydrodynamics{true, 400.0});
   const electrochem::ChronoamperometrySim sim(
       std::move(cell), electrochem::standard_oxidase_step());
-  return sim.run();
+  return sim.try_run().value();
 }
 
 void print_figure() {
   bench::print_banner(
       "Figure F1", "chronoamperometric step responses (glucose sensor)");
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT/Nafion + GOD (this work)");
+      core::try_entry("MWCNT/Nafion + GOD (this work)").value();
 
   const double concentrations[] = {0.1, 0.25, 0.5, 1.0};
   std::printf("\n  t[s]   |");
@@ -65,7 +65,7 @@ void print_figure() {
   std::printf("\nsteady-state currents (tail mean):\n");
   double prev = 0.0;
   for (std::size_t i = 0; i < traces.size(); ++i) {
-    const double ss = traces[i].tail_mean_a(0.1) * 1e9;
+    const double ss = traces[i].try_tail_mean_a(0.1).value() * 1e9;
     std::printf("  %.2f mM -> %7.2f nA (ratio to previous: %s)\n",
                 concentrations[i], ss,
                 i == 0 ? "-" : std::to_string(ss / prev).substr(0, 4).c_str());
@@ -91,9 +91,9 @@ void print_figure() {
       if (std::abs(t - mark) < 2.6e-3) {
         const double sim_j = 2.0 * 96485.33212 * flux;
         const double cot_j =
-            transport::cottrell_current_density(
+            transport::try_cottrell_current_density(
                 2, Diffusivity::cm2_per_s(6.7e-6),
-                Concentration::milli_molar(1.0), Time::seconds(t))
+                Concentration::milli_molar(1.0), Time::seconds(t)).value()
                 .amps_per_m2();
         std::printf("  %5.2f   %13.4f   %13.4f   %+.2f%%\n", t, sim_j,
                     cot_j, 100.0 * (sim_j - cot_j) / cot_j);
@@ -104,7 +104,7 @@ void print_figure() {
 
 void BM_ChronoTrace(benchmark::State& state) {
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT/Nafion + GOD (this work)");
+      core::try_entry("MWCNT/Nafion + GOD (this work)").value();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         trace_at(entry, Concentration::milli_molar(0.5)));

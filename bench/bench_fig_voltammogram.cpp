@@ -21,12 +21,12 @@ using namespace biosens;
 electrochem::Voltammogram voltammogram_at(const core::CatalogEntry& entry,
                                           Concentration c) {
   const electrode::EffectiveLayer layer =
-      electrode::synthesize(entry.spec.assembly);
+      electrode::try_synthesize(entry.spec.assembly).value();
   electrochem::Cell cell(layer,
                          chem::calibration_sample("cyclophosphamide", c));
   const electrochem::VoltammetrySim sim(std::move(cell),
                                         electrochem::standard_cyp_sweep());
-  return sim.run();
+  return sim.try_run().value();
 }
 
 void ascii_plot(const electrochem::Voltammogram& vg) {
@@ -58,7 +58,7 @@ void print_figure() {
   bench::print_banner("Figure F2",
                       "CYP hysteresis voltammograms (cyclophosphamide)");
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT + CYP (cyclophosphamide)");
+      core::try_entry("MWCNT + CYP (cyclophosphamide)").value();
 
   std::printf("\nvoltammogram at 70 uM cyclophosphamide:\n");
   ascii_plot(voltammogram_at(entry, Concentration::micro_molar(70.0)));
@@ -68,7 +68,7 @@ void print_figure() {
   double blank_height = 0.0;
   for (double um : {0.0, 10.0, 20.0, 30.0, 50.0, 70.0}) {
     const auto vg = voltammogram_at(entry, Concentration::micro_molar(um));
-    const auto peak = analysis::find_cathodic_peak(vg);
+    const auto peak = analysis::try_find_cathodic_peak(vg).value();
     const double h = peak.has_value() ? peak->height_a : 0.0;
     if (um == 0.0) blank_height = h;
     std::printf("  %9.0f | %16.3f | %18.3f\n", um, h * 1e6,
@@ -80,7 +80,7 @@ void print_figure() {
 
   std::printf("\nLaviron diagnostics (peak separation vs scan rate):\n");
   const electrode::EffectiveLayer layer =
-      electrode::synthesize(entry.spec.assembly);
+      electrode::try_synthesize(entry.spec.assembly).value();
   std::printf("  scan rate [mV/s] | predicted separation [mV]\n");
   for (double mvps : {10.0, 50.0, 200.0, 1000.0, 5000.0}) {
     electrochem::Cell cell(
@@ -97,20 +97,20 @@ void print_figure() {
 
 void BM_PeakExtraction(benchmark::State& state) {
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT + CYP (cyclophosphamide)");
+      core::try_entry("MWCNT + CYP (cyclophosphamide)").value();
   const auto vg = voltammogram_at(entry, Concentration::micro_molar(40.0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::find_cathodic_peak(vg));
+    benchmark::DoNotOptimize(analysis::try_find_cathodic_peak(vg).value());
   }
 }
 BENCHMARK(BM_PeakExtraction);
 
 void BM_HysteresisArea(benchmark::State& state) {
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT + CYP (cyclophosphamide)");
+      core::try_entry("MWCNT + CYP (cyclophosphamide)").value();
   const auto vg = voltammogram_at(entry, Concentration::micro_molar(40.0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::hysteresis_area(vg));
+    benchmark::DoNotOptimize(analysis::try_hysteresis_area(vg).value());
   }
 }
 BENCHMARK(BM_HysteresisArea);

@@ -61,8 +61,8 @@ core::Platform make_panel() {
   poc.smoothing_window = 3;
 
   core::Platform p;
-  p.add_sensor(core::entry_or_throw("MWCNT/Nafion + GOD (this work)"), poc);
-  p.add_sensor(core::entry_or_throw("MWCNT + CYP (cyclophosphamide)"), poc);
+  p.add_sensor(core::try_entry("MWCNT/Nafion + GOD (this work)").value(), poc);
+  p.add_sensor(core::try_entry("MWCNT + CYP (cyclophosphamide)").value(), poc);
   return p;
 }
 
@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
   const core::Platform platform = [] {
     core::Platform p = make_panel();
     Rng rng(2012);
-    p.calibrate_all(rng, quick_options());
+    p.try_calibrate_all(rng, quick_options()).value();
     return p;
   }();
   const std::vector<chem::Sample> samples =
@@ -323,7 +323,7 @@ int main(int argc, char** argv) {
         recorder.install();
         Rng rng(7);
         for (auto _ : state) {
-          benchmark::DoNotOptimize(platform.assay(samples[0], rng));
+          benchmark::DoNotOptimize(platform.try_assay(samples[0], rng).value());
         }
         recorder.uninstall();
       });
@@ -331,7 +331,7 @@ int main(int argc, char** argv) {
       "BM_UntracedPanelAssay", [&](benchmark::State& state) {
         Rng rng(7);
         for (auto _ : state) {
-          benchmark::DoNotOptimize(platform.assay(samples[0], rng));
+          benchmark::DoNotOptimize(platform.try_assay(samples[0], rng).value());
         }
       });
   return biosens::bench::run_timings(argc, argv);

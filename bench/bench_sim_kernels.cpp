@@ -209,8 +209,8 @@ core::Platform make_panel() {
   poc.smoothing_window = 3;
 
   core::Platform p;
-  p.add_sensor(core::entry_or_throw("MWCNT/Nafion + GOD (this work)"), poc);
-  p.add_sensor(core::entry_or_throw("MWCNT + CYP (cyclophosphamide)"), poc);
+  p.add_sensor(core::try_entry("MWCNT/Nafion + GOD (this work)").value(), poc);
+  p.add_sensor(core::try_entry("MWCNT + CYP (cyclophosphamide)").value(), poc);
   return p;
 }
 
@@ -336,7 +336,7 @@ int main(int argc, char** argv) {
   const core::Platform platform = [] {
     core::Platform p = make_panel();
     Rng rng(2012);
-    p.calibrate_all(rng, quick_options());
+    p.try_calibrate_all(rng, quick_options()).value();
     return p;
   }();
   const std::vector<chem::Sample> samples =

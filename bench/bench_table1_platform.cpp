@@ -49,16 +49,17 @@ BENCHMARK(BM_PlatformAssembly);
 void BM_SpecValidation(benchmark::State& state) {
   const auto entries = core::platform_entries();
   for (auto _ : state) {
-    for (const core::CatalogEntry& e : entries) e.spec.validate();
+    for (const core::CatalogEntry& e : entries) e.spec.try_validate().value();
   }
 }
 BENCHMARK(BM_SpecValidation);
 
 void BM_LayerSynthesis(benchmark::State& state) {
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT/Nafion + GOD (this work)");
+      core::try_entry("MWCNT/Nafion + GOD (this work)").value();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(electrode::synthesize(entry.spec.assembly));
+    benchmark::DoNotOptimize(
+        electrode::try_synthesize(entry.spec.assembly).value());
   }
 }
 BENCHMARK(BM_LayerSynthesis);

@@ -17,30 +17,30 @@ using namespace biosens;
 
 void BM_CypCalibration(benchmark::State& state) {
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT + CYP (cyclophosphamide)");
+      core::try_entry("MWCNT + CYP (cyclophosphamide)").value();
   const core::BiosensorModel sensor(entry.spec);
   const core::CalibrationProtocol protocol;
   const auto series = core::standard_series(entry.published.range_low,
                                             entry.published.range_high);
   Rng rng(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(protocol.run(sensor, series, rng));
+    benchmark::DoNotOptimize(protocol.try_run(sensor, series, rng).value());
   }
 }
 BENCHMARK(BM_CypCalibration)->Unit(benchmark::kMillisecond);
 
 void BM_VoltammogramSimulation(benchmark::State& state) {
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT + CYP (cyclophosphamide)");
+      core::try_entry("MWCNT + CYP (cyclophosphamide)").value();
   const electrode::EffectiveLayer layer =
-      electrode::synthesize(entry.spec.assembly);
+      electrode::try_synthesize(entry.spec.assembly).value();
   const chem::Sample sample = chem::calibration_sample(
       "cyclophosphamide", Concentration::micro_molar(40.0));
   for (auto _ : state) {
     electrochem::Cell cell(layer, sample);
     const electrochem::VoltammetrySim sim(std::move(cell),
                                           electrochem::standard_cyp_sweep());
-    benchmark::DoNotOptimize(sim.run());
+    benchmark::DoNotOptimize(sim.try_run().value());
   }
 }
 BENCHMARK(BM_VoltammogramSimulation);

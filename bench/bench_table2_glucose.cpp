@@ -14,27 +14,27 @@ using namespace biosens;
 
 void BM_GlucoseCalibration(benchmark::State& state) {
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT/Nafion + GOD (this work)");
+      core::try_entry("MWCNT/Nafion + GOD (this work)").value();
   const core::BiosensorModel sensor(entry.spec);
   const core::CalibrationProtocol protocol;
   const auto series = core::standard_series(entry.published.range_low,
                                             entry.published.range_high);
   Rng rng(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(protocol.run(sensor, series, rng));
+    benchmark::DoNotOptimize(protocol.try_run(sensor, series, rng).value());
   }
 }
 BENCHMARK(BM_GlucoseCalibration)->Unit(benchmark::kMillisecond);
 
 void BM_GlucoseSingleMeasurement(benchmark::State& state) {
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT/Nafion + GOD (this work)");
+      core::try_entry("MWCNT/Nafion + GOD (this work)").value();
   const core::BiosensorModel sensor(entry.spec);
   const chem::Sample sample =
       chem::calibration_sample("glucose", Concentration::milli_molar(0.5));
   Rng rng(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sensor.measure(sample, rng));
+    benchmark::DoNotOptimize(sensor.try_measure(sample, rng).value());
   }
 }
 BENCHMARK(BM_GlucoseSingleMeasurement)->Unit(benchmark::kMillisecond);

@@ -12,14 +12,14 @@ using namespace biosens;
 
 void BM_GlutamateCalibration(benchmark::State& state) {
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT/Nafion + GlOD (this work)");
+      core::try_entry("MWCNT/Nafion + GlOD (this work)").value();
   const core::BiosensorModel sensor(entry.spec);
   const core::CalibrationProtocol protocol;
   const auto series = core::standard_series(entry.published.range_low,
                                             entry.published.range_high);
   Rng rng(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(protocol.run(sensor, series, rng));
+    benchmark::DoNotOptimize(protocol.try_run(sensor, series, rng).value());
   }
 }
 BENCHMARK(BM_GlutamateCalibration)->Unit(benchmark::kMillisecond);
@@ -30,7 +30,7 @@ void BM_InverseDesign(benchmark::State& state) {
     // its published figures — the design-time cost of adding a target.
     state.PauseTiming();
     core::CatalogEntry entry =
-        core::entry_or_throw("MWCNT/Nafion + GlOD (this work)");
+        core::try_entry("MWCNT/Nafion + GlOD (this work)").value();
     core::SensorSpec spec = entry.spec;
     state.ResumeTiming();
     core::calibrate_to_figures(spec, entry.published);

@@ -14,14 +14,14 @@ using namespace biosens;
 
 void BM_LactateCalibration(benchmark::State& state) {
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT/Nafion + LOD (this work)");
+      core::try_entry("MWCNT/Nafion + LOD (this work)").value();
   const core::BiosensorModel sensor(entry.spec);
   const core::CalibrationProtocol protocol;
   const auto series = core::standard_series(entry.published.range_low,
                                             entry.published.range_high);
   Rng rng(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(protocol.run(sensor, series, rng));
+    benchmark::DoNotOptimize(protocol.try_run(sensor, series, rng).value());
   }
 }
 BENCHMARK(BM_LactateCalibration)->Unit(benchmark::kMillisecond);

@@ -37,7 +37,7 @@ inline Row measure_entry(const core::CatalogEntry& entry, Rng& rng) {
   row.device = entry.spec.name;
   row.citation = entry.spec.citation;
   row.published = entry.published;
-  row.measured = protocol.run(sensor, series, rng).result;
+  row.measured = protocol.try_run(sensor, series, rng).value().result;
   row.is_platform = entry.is_platform;
   return row;
 }

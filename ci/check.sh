@@ -2,7 +2,7 @@
 # CI gate for the measurement stack (docs/static-analysis.md):
 #   1. biosens-lint       AST/token-level invariant checks + fixture
 #                         self-test (throw/span/determinism/Expected/
-#                         hot-path/service discipline)
+#                         service discipline)
 #   2. clang-format       check-only formatting gate (skips with a
 #                         notice when clang-format is not installed)
 #   3. clang-tidy         bugprone/performance/concurrency baseline
@@ -10,7 +10,8 @@
 #                         notice when clang-tidy is not installed)
 #   4. release            Release build with BIOSENS_WERROR=ON + the
 #                         full ctest suite
-#   5. tsan               ThreadSanitizer over the engine tests
+#   5. tsan               ThreadSanitizer over the engine, thread-pool,
+#                         service, sim-cache and recorder tests
 #   6. ubsan              UndefinedBehaviorSanitizer over error paths
 #   7. asan               AddressSanitizer+LeakSanitizer over the
 #                         allocation-bearing engine/cache/obs tests
@@ -87,11 +88,12 @@ run_lint() {
   # real C++ tokens (strings, comments and multi-line statements can
   # no longer fool it) and enforces throw-discipline,
   # recorder-discipline, span-temporary, determinism-discipline,
-  # expected-discard, nodiscard-decl, hot-path-discipline,
-  # service-discipline (every queue in src/service/ must be bounded),
-  # transducer-discipline and stale-suppression
-  # (allow() directives must earn their keep). Check ids, rationale
-  # and the allow() suppression syntax: docs/static-analysis.md.
+  # expected-discard, nodiscard-decl, service-discipline (every queue
+  # in src/service/ must be bounded), transducer-discipline and
+  # stale-suppression (allow() directives must earn their keep).
+  # BIOSENS_HOT bodies are checked by stage 11's hot-path-transitive.
+  # Check ids, rationale and the allow() suppression syntax:
+  # docs/static-analysis.md.
   python3 tools/lint/biosens_lint.py --jobs "${JOBS}" src
   # The fixture self-test proves every check-id fires on its seeded
   # violation and stays silent on the matching clean fixture.
@@ -141,15 +143,17 @@ run_release() {
 }
 
 run_tsan() {
-  echo "=== [5/12] ThreadSanitizer: engine tests ==="
+  echo "=== [5/12] ThreadSanitizer: engine, pool, service, cache, recorder ==="
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DBIOSENS_SANITIZE=thread
   cmake --build build-tsan -j "${JOBS}" \
-    --target test_engine test_engine_determinism test_rng
+    --target test_engine test_engine_determinism test_rng \
+    test_thread_pool test_service test_sim_cache test_obs
   # halt_on_error: any reported race fails CI immediately.
   TSAN_OPTIONS="halt_on_error=1" \
-    ctest --test-dir build-tsan -R 'engine|rng' --output-on-failure
+    ctest --test-dir build-tsan \
+    -R 'engine|rng|thread_pool|service|sim_cache|obs' --output-on-failure
 }
 
 run_ubsan() {

@@ -40,16 +40,17 @@ int main() {
   // The chip carries the three oxidase sensors of Table 1; all three run
   // concurrently on one 5-channel microfabricated die.
   core::Platform chip;
-  chip.add_sensor(core::entry_or_throw("MWCNT/Nafion + GOD (this work)"));
-  chip.add_sensor(core::entry_or_throw("MWCNT/Nafion + LOD (this work)"));
-  chip.add_sensor(core::entry_or_throw("MWCNT/Nafion + GlOD (this work)"));
+  chip.add_sensor(core::try_entry("MWCNT/Nafion + GOD (this work)").value());
+  chip.add_sensor(core::try_entry("MWCNT/Nafion + LOD (this work)").value());
+  chip.add_sensor(core::try_entry("MWCNT/Nafion + GlOD (this work)").value());
 
   Rng rng(4242);
-  chip.calibrate_all(rng);
+  chip.try_calibrate_all(rng).value();
   std::printf(
       "chip calibrated: %zu sensors, panel time %.0f s, sample need %s\n\n",
       chip.sensor_count(), chip.scheduled_panel_time().seconds(),
-      to_string(chip.assay(chem::blank_sample(), rng)
+      to_string(chip.try_assay(chem::blank_sample(), rng)
+                    .value()
                     .sample_volume_required)
           .c_str());
 
@@ -74,14 +75,20 @@ int main() {
     chem::Sample diluted = medium;
     diluted.dilute(10.0);
 
-    const core::PanelReport diluted_report = chip.assay(diluted, rng);
-    const core::PanelReport neat_report = chip.assay(medium, rng);
+    const core::PanelReport diluted_report =
+        chip.try_assay(diluted, rng).value();
+    const core::PanelReport neat_report = chip.try_assay(medium, rng).value();
     const double glucose_est =
-        diluted_report.for_target("glucose").estimated.milli_molar() * 10.0;
+        diluted_report.try_for_target("glucose").value()->estimated
+            .milli_molar() *
+        10.0;
     const double lactate_est =
-        diluted_report.for_target("lactate").estimated.milli_molar() * 10.0;
-    const double glutamate_est =
-        neat_report.for_target("glutamate").estimated.micro_molar();
+        diluted_report.try_for_target("lactate").value()->estimated
+            .milli_molar() *
+        10.0;
+    const double glutamate_est = neat_report.try_for_target("glutamate")
+                                     .value()
+                                     ->estimated.micro_molar();
 
     std::printf("  %4.0f | %8.2f / %-10.2f | %8.2f / %-10.2f | %8.1f / %-10.1f\n",
                 t, culture.glucose_mm, glucose_est, culture.lactate_mm,

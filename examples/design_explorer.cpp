@@ -27,9 +27,9 @@ core::SensorSpec base_spec(const electrode::Modification& mod) {
   spec.technique = core::Technique::kChronoamperometry;
   spec.assembly.geometry = electrode::microfabricated_gold();
   spec.assembly.modification = mod;
-  spec.assembly.immobilization = electrode::immobilization_defaults(
-      electrode::ImmobilizationMethod::kAdsorption);
-  spec.assembly.enzyme = chem::enzyme_or_throw("LOD");
+  spec.assembly.immobilization = electrode::try_immobilization_defaults(
+      electrode::ImmobilizationMethod::kAdsorption).value();
+  spec.assembly.enzyme = *chem::try_enzyme("LOD").value();
   spec.assembly.substrate = "lactate";
   spec.assembly.loading_monolayers = 1.0;
   return spec;
@@ -46,7 +46,7 @@ int main() {
   target.range_high = Concentration::milli_molar(3.0);
   target.lod = Concentration::micro_molar(5.0);
 
-  const auto lactate = chem::species_or_throw("lactate");
+  const auto lactate = *chem::try_species("lactate").value();
   const double delta = transport::stirred_layer_thickness_m(400.0);
   const Sensitivity ceiling =
       core::ca_transport_ceiling(2, lactate.diffusivity, delta);
@@ -87,9 +87,10 @@ int main() {
   const core::CalibrationProtocol protocol;
   const auto measured =
       protocol
-          .run(sensor,
-               core::standard_series(target.range_low, target.range_high),
-               rng)
+          .try_run(sensor,
+                   core::standard_series(target.range_low, target.range_high),
+                   rng)
+          .value()
           .result;
   std::printf(
       "\nverification of the MWCNT/Nafion design (simulated calibration):\n"

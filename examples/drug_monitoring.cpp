@@ -66,16 +66,17 @@ int fixed_dose_in_window(const core::PatientProfile& patient,
 int main() {
   // 1. Calibrate the CP sensor once (as the clinic would).
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT + CYP (cyclophosphamide)");
+      core::try_entry("MWCNT + CYP (cyclophosphamide)").value();
   const core::BiosensorModel sensor(entry.spec);
   Rng rng(77);
   const core::CalibrationProtocol protocol;
   const auto cal =
       protocol
-          .run(sensor,
-               core::standard_series(entry.published.range_low,
-                                     entry.published.range_high),
-               rng)
+          .try_run(sensor,
+                   core::standard_series(entry.published.range_low,
+                                         entry.published.range_high),
+                   rng)
+          .value()
           .result;
   std::printf("CYP2B6 sensor: sensitivity %.0f uA/mM/cm^2, LOD %s\n\n",
               cal.sensitivity.micro_amp_per_milli_molar_cm2(),

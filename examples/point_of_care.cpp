@@ -21,7 +21,7 @@ int main() {
   using namespace biosens;
 
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT/Nafion + GOD (this work)");
+      core::try_entry("MWCNT/Nafion + GOD (this work)").value();
   const core::DifferentialSensor pair(entry.spec);
   Rng rng(2026);
 
@@ -42,7 +42,7 @@ int main() {
   const chem::Sample serum = chem::serum_sample("glucose", truth);
   const core::BiosensorModel single(entry.spec);
   const double single_read =
-      (single.measure(serum, rng).response_a -
+      (single.try_measure(serum, rng).value().response_a -
        single.ideal_response_a(chem::blank_sample())) /
       slope;
   std::printf("1) serum sample\n");
@@ -54,9 +54,9 @@ int main() {
   chem::Sample venous = chem::serum_sample("glucose", truth);
   venous.set_dissolved_oxygen(Concentration::micro_molar(40.0));
   const double venous_read = estimate(venous);
-  const double o2_factor = chem::relative_activity(
+  const double o2_factor = chem::try_relative_activity(
       entry.spec.assembly.enzyme.environment, venous.buffer(),
-      venous.dissolved_oxygen());
+      venous.dissolved_oxygen()).value();
   std::printf("2) hypoxic venous sample (40 uM O2)\n");
   std::printf("   raw estimate:          %6.2f mM  (under-reads)\n",
               venous_read);

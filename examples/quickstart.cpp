@@ -16,7 +16,7 @@ int main() {
   // 1. Pull the paper's glucose sensor (Table 2, "this work" row):
   //    microfabricated Au electrode, MWCNT/Nafion film, adsorbed GOD.
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT/Nafion + GOD (this work)");
+      core::try_entry("MWCNT/Nafion + GOD (this work)").value();
   const core::BiosensorModel sensor(entry.spec);
 
   std::printf("sensor:     %s\n", entry.spec.name.c_str());
@@ -36,7 +36,8 @@ int main() {
   const core::CalibrationProtocol protocol;
   const auto series = core::standard_series(entry.published.range_low,
                                             entry.published.range_high);
-  const core::ProtocolOutcome outcome = protocol.run(sensor, series, rng);
+  const core::ProtocolOutcome outcome =
+      protocol.try_run(sensor, series, rng).value();
   const analysis::CalibrationResult& cal = outcome.result;
 
   std::printf("calibration (measured vs paper Table 2):\n");
@@ -51,7 +52,7 @@ int main() {
   // 3. Quantify an "unknown" — a hyperglycemic serum sample.
   const Concentration truth = Concentration::milli_molar(0.65);
   const chem::Sample unknown = chem::calibration_sample("glucose", truth);
-  const double response = sensor.measure(unknown, rng).response_a;
+  const double response = sensor.try_measure(unknown, rng).value().response_a;
   const Concentration estimate = Concentration::milli_molar(
       (response - cal.fit.intercept) / cal.fit.slope);
 

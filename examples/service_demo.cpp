@@ -166,7 +166,7 @@ service::SessionBody make_body(double baseline_mM) {
 /// the measurement's child RNG stream. Returns the response in amps.
 service::SessionBody make_fet_body(double baseline_mM) {
   const auto sensor = std::make_shared<core::BiosensorModel>(
-      core::entry_or_throw("CNT-BA FET").spec);
+      core::try_entry("CNT-BA FET").value().spec);
   return [baseline_mM,
           sensor](service::SessionContext& c) -> Expected<double> {
     double& drift = c.state[0];

@@ -23,13 +23,6 @@ CalibrationEngine::CalibrationEngine(CalibrationOptions options)
   require<SpecError>(options.seed_points >= 2, "need at least 2 seed points");
 }
 
-CalibrationResult CalibrationEngine::calibrate(
-    std::span<const CalibrationPoint> points, double blank_sigma_a,
-    Area electrode_area, double point_sigma_a) const {
-  return try_calibrate(points, blank_sigma_a, electrode_area, point_sigma_a)
-      .value_or_throw();
-}
-
 Expected<CalibrationResult> CalibrationEngine::try_calibrate(
     std::span<const CalibrationPoint> points, double blank_sigma_a,
     Area electrode_area, double point_sigma_a) const {
@@ -50,6 +43,12 @@ Expected<CalibrationResult> CalibrationEngine::try_calibrate(
             [](const CalibrationPoint& a, const CalibrationPoint& b) {
               return a.concentration < b.concentration;
             });
+  // Sorted, so the seed spans one concentration exactly when its ends
+  // coincide; no line can be fitted through it.
+  BIOSENS_EXPECT(sorted.front().concentration !=
+                     sorted[options_.seed_points - 1].concentration,
+                 ErrorCode::kAnalysis, Layer::kAnalysis, "calibrate",
+                 "seed points sit at a single concentration");
 
   std::vector<double> xs, ys;
   xs.reserve(sorted.size());

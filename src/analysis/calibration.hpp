@@ -68,14 +68,10 @@ class CalibrationEngine {
   /// `point_sigma_a` is the noise of one calibration *point* (blank
   /// sigma divided by sqrt(replicates)); pass a negative value to
   /// default it to `blank_sigma_a`.
-  /// Throwing shim over try_calibrate().
-  [[nodiscard]] CalibrationResult calibrate(
-      std::span<const CalibrationPoint> points, double blank_sigma_a,
-      Area electrode_area, double point_sigma_a = -1.0) const;
-
-  /// Expected-returning counterpart of calibrate(): too few points and a
+  ///
+  /// Too few points, seed points at a single concentration, and a
   /// non-responding sensor (non-positive slope) come back as analysis-
-  /// layer errors instead of exceptions.
+  /// layer errors.
   [[nodiscard]] Expected<CalibrationResult> try_calibrate(
       std::span<const CalibrationPoint> points, double blank_sigma_a,
       Area electrode_area, double point_sigma_a = -1.0) const;

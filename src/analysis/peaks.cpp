@@ -1,6 +1,8 @@
 #include "analysis/peaks.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -17,6 +19,13 @@ struct Branch {
   std::span<const double> i;
   std::size_t offset = 0;  ///< index of branch start in the voltammogram
 };
+
+/// True when every potential of the branch is the same: a sweep that
+/// does not sweep, which no line fit can detrend.
+bool is_flat(std::span<const double> e) {
+  return std::adjacent_find(e.begin(), e.end(), std::not_equal_to<>()) ==
+         e.end();
+}
 
 /// Splits the voltammogram into its two sweep branches.
 Expected<std::pair<Branch, Branch>> try_split(
@@ -35,6 +44,9 @@ Expected<std::pair<Branch, Branch>> try_split(
                std::span(vg.current_a).subspan(0, t), 0};
   Branch second{std::span(vg.potential_v).subspan(t),
                 std::span(vg.current_a).subspan(t), t};
+  BIOSENS_EXPECT(!is_flat(first.e) && !is_flat(second.e),
+                 ErrorCode::kAnalysis, Layer::kAnalysis, "split sweep",
+                 "voltammogram branch potentials do not vary");
   return std::pair<Branch, Branch>{first, second};
 }
 
@@ -86,8 +98,9 @@ std::optional<Peak> extreme_peak(const Branch& b, double sign) {
       wi.push_back(b.i[k]);
     }
   }
-  if (we.size() < 5) {
-    // Peak too close to the branch start to establish a baseline.
+  if (we.size() < 5 || is_flat(we)) {
+    // Peak too close to the branch start (or the window holds a single
+    // potential) to establish a baseline.
     return std::nullopt;
   }
   const LinearFit baseline = fit_ols(we, wi);
@@ -124,10 +137,6 @@ Expected<std::optional<Branch>> try_branch_with_direction(
 
 }  // namespace
 
-std::optional<Peak> find_cathodic_peak(const electrochem::Voltammogram& vg) {
-  return try_find_cathodic_peak(vg).value_or_throw();
-}
-
 Expected<std::optional<Peak>> try_find_cathodic_peak(
     const electrochem::Voltammogram& vg) {
   obs::ObsSpan span(Layer::kAnalysis, "peak-detect");
@@ -139,10 +148,6 @@ Expected<std::optional<Peak>> try_find_cathodic_peak(
           }));
 }
 
-std::optional<Peak> find_anodic_peak(const electrochem::Voltammogram& vg) {
-  return try_find_anodic_peak(vg).value_or_throw();
-}
-
 Expected<std::optional<Peak>> try_find_anodic_peak(
     const electrochem::Voltammogram& vg) {
   return try_branch_with_direction(vg, /*cathodic=*/false)
@@ -150,10 +155,6 @@ Expected<std::optional<Peak>> try_find_anodic_peak(
         return branch.has_value() ? extreme_peak(*branch, +1.0)
                                   : std::optional<Peak>{};
       });
-}
-
-double hysteresis_area(const electrochem::Voltammogram& vg) {
-  return try_hysteresis_area(vg).value_or_throw();
 }
 
 Expected<double> try_hysteresis_area(const electrochem::Voltammogram& vg) {
@@ -172,8 +173,8 @@ Expected<double> try_hysteresis_area(const electrochem::Voltammogram& vg) {
 
 std::optional<Potential> peak_separation(
     const electrochem::Voltammogram& vg) {
-  const auto anodic = find_anodic_peak(vg);
-  const auto cathodic = find_cathodic_peak(vg);
+  const auto anodic = try_find_anodic_peak(vg).value();
+  const auto cathodic = try_find_cathodic_peak(vg).value();
   if (!anodic.has_value() || !cathodic.has_value()) return std::nullopt;
   return Potential::volts(
       std::abs(anodic->potential_v - cathodic->potential_v));

@@ -26,36 +26,25 @@ struct Peak {
 /// Extracts the cathodic (reduction) peak: the largest negative
 /// deviation from a linear baseline fitted on the early, pre-peak part
 /// of the cathodic branch. Returns nullopt when no dip exceeds the
-/// baseline spread. Throwing shim over try_find_cathodic_peak().
-[[nodiscard]] std::optional<Peak> find_cathodic_peak(
-    const electrochem::Voltammogram& vg);
-
-/// Expected-returning counterpart of find_cathodic_peak(): a malformed
-/// voltammogram (too short, turning index out of range) is a structured
+/// baseline spread. A malformed voltammogram (too short, turning index
+/// out of range, a branch whose potentials do not vary) is a structured
 /// analysis error; an absent peak is still a nullopt *success*.
 [[nodiscard]] Expected<std::optional<Peak>> try_find_cathodic_peak(
     const electrochem::Voltammogram& vg);
 
-/// Extracts the anodic (oxidation) peak from the anodic branch.
-/// Throwing shim over try_find_anodic_peak().
-[[nodiscard]] std::optional<Peak> find_anodic_peak(
-    const electrochem::Voltammogram& vg);
-
-/// Expected-returning counterpart of find_anodic_peak().
+/// Extracts the anodic (oxidation) peak from the anodic branch; errors
+/// as try_find_cathodic_peak().
 [[nodiscard]] Expected<std::optional<Peak>> try_find_anodic_peak(
     const electrochem::Voltammogram& vg);
 
 /// Signed area enclosed by the hysteresis loop [V*A]; grows with the
 /// surface coverage of the redox protein and the capacitive background.
-/// Throwing shim over try_hysteresis_area().
-[[nodiscard]] double hysteresis_area(const electrochem::Voltammogram& vg);
-
-/// Expected-returning counterpart of hysteresis_area().
 [[nodiscard]] Expected<double> try_hysteresis_area(
     const electrochem::Voltammogram& vg);
 
 /// Separation between anodic and cathodic peak potentials, when both
-/// exist (Laviron kinetics diagnostic).
+/// exist (Laviron kinetics diagnostic). Throws AnalysisError on a
+/// malformed voltammogram.
 [[nodiscard]] std::optional<Potential> peak_separation(
     const electrochem::Voltammogram& vg);
 

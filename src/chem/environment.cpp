@@ -13,11 +13,6 @@ Concentration air_saturated_oxygen() {
   return Concentration::micro_molar(250.0);
 }
 
-double raw_activity(const EnvironmentSensitivity& env, const Buffer& buffer,
-                    Concentration dissolved_oxygen) {
-  return try_raw_activity(env, buffer, dissolved_oxygen).value_or_throw();
-}
-
 Expected<double> try_raw_activity(const EnvironmentSensitivity& env,
                                   const Buffer& buffer,
                                   Concentration dissolved_oxygen) {
@@ -53,13 +48,6 @@ Expected<double> try_raw_activity(const EnvironmentSensitivity& env,
   factor *= std::exp(-ea / constants::kGasConstant *
                      (1.0 / t - 1.0 / t_ref));
   return factor;
-}
-
-double relative_activity(const EnvironmentSensitivity& env,
-                         const Buffer& buffer,
-                         Concentration dissolved_oxygen) {
-  return try_relative_activity(env, buffer, dissolved_oxygen)
-      .value_or_throw();
 }
 
 Expected<double> try_relative_activity(const EnvironmentSensitivity& env,

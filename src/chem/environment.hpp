@@ -35,28 +35,17 @@ struct EnvironmentSensitivity {
 /// Air-saturated dissolved oxygen at the reference temperature.
 [[nodiscard]] Concentration air_saturated_oxygen();
 
-/// Raw (unnormalized) activity multiplier at the given conditions.
-/// Throwing shim over try_raw_activity().
-[[nodiscard]] double raw_activity(const EnvironmentSensitivity& env,
-                                  const Buffer& buffer,
-                                  Concentration dissolved_oxygen);
-
-/// Expected-returning counterpart of raw_activity(). A chem-layer spec
-/// error on degenerate coefficients — and on the co-substrate violation
-/// an oxidase cannot physically measure through: an anoxic sample
-/// (dissolved O2 exactly zero) presented to an O2-dependent enzyme.
+/// Raw (unnormalized) activity multiplier at the given conditions. A
+/// chem-layer spec error on degenerate coefficients — and on the
+/// co-substrate violation an oxidase cannot physically measure through:
+/// an anoxic sample (dissolved O2 exactly zero) presented to an
+/// O2-dependent enzyme.
 [[nodiscard]] Expected<double> try_raw_activity(
     const EnvironmentSensitivity& env, const Buffer& buffer,
     Concentration dissolved_oxygen);
 
 /// Activity relative to the reference conditions: 1.0 in calibration
 /// buffer, < 1 in hypoxic / cold / off-pH samples.
-/// Throwing shim over try_relative_activity().
-[[nodiscard]] double relative_activity(const EnvironmentSensitivity& env,
-                                       const Buffer& buffer,
-                                       Concentration dissolved_oxygen);
-
-/// Expected-returning counterpart of relative_activity().
 [[nodiscard]] Expected<double> try_relative_activity(
     const EnvironmentSensitivity& env, const Buffer& buffer,
     Concentration dissolved_oxygen);

@@ -169,10 +169,6 @@ Expected<const Enzyme*> try_enzyme(std::string_view name) {
                     "unknown enzyme: " + std::string(name));
 }
 
-const Enzyme& enzyme_or_throw(std::string_view name) {
-  return *try_enzyme(name).value_or_throw();
-}
-
 std::string_view to_string(EnzymeFamily family) {
   switch (family) {
     case EnzymeFamily::kOxidase:

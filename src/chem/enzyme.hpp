@@ -73,9 +73,6 @@ struct Enzyme {
 /// when absent.
 [[nodiscard]] Expected<const Enzyme*> try_enzyme(std::string_view name);
 
-/// Throwing shim over try_enzyme() (public convenience boundary).
-[[nodiscard]] const Enzyme& enzyme_or_throw(std::string_view name);
-
 /// Human-readable family name.
 [[nodiscard]] std::string_view to_string(EnzymeFamily family);
 

@@ -5,9 +5,6 @@
 
 namespace biosens::chem {
 
-MichaelisMenten::MichaelisMenten(Rate k_cat, Concentration k_m)
-    : MichaelisMenten(try_create(k_cat, k_m).value_or_throw()) {}
-
 Expected<MichaelisMenten> MichaelisMenten::try_create(Rate k_cat,
                                                       Concentration k_m) {
   obs::ObsSpan span(Layer::kChem, "mm-kinetics");
@@ -39,10 +36,6 @@ double MichaelisMenten::linearity_deviation(Concentration substrate) const {
   const double s = substrate.milli_molar();
   if (s <= 0.0) return 0.0;
   return s / (k_m_.milli_molar() + s);
-}
-
-Concentration MichaelisMenten::linear_limit(double max_deviation) const {
-  return try_linear_limit(max_deviation).value_or_throw();
 }
 
 Expected<Concentration> MichaelisMenten::try_linear_limit(

@@ -18,14 +18,11 @@ namespace biosens::chem {
 /// diffusion barrier of the film (see electrode::EffectiveLayer).
 class MichaelisMenten {
  public:
-  /// @param k_cat apparent turnover number of the immobilized enzyme
-  /// @param k_m   apparent Michaelis constant
-  /// Throwing shim over try_create() (public convenience boundary).
-  MichaelisMenten(Rate k_cat, Concentration k_m);
-
-  /// Validates the parameters and builds the rate law; a chem-layer
-  /// spec error when k_cat or K_M is non-positive (the degenerate-
-  /// enzyme case every simulator must refuse to run on).
+  /// Validates the parameters and builds the rate law from the apparent
+  /// turnover number `k_cat` of the immobilized enzyme and the apparent
+  /// Michaelis constant `k_m`; a chem-layer spec error when k_cat or K_M
+  /// is non-positive (the degenerate-enzyme case every simulator must
+  /// refuse to run on).
   [[nodiscard]] static Expected<MichaelisMenten> try_create(
       Rate k_cat, Concentration k_m);
 
@@ -46,11 +43,8 @@ class MichaelisMenten {
 
   /// Largest concentration whose deviation from linearity does not exceed
   /// `max_deviation` (e.g. 0.05 for the conventional 5% criterion):
-  /// S* = max_deviation/(1-max_deviation) * K_M.
-  /// Throwing shim over try_linear_limit().
-  [[nodiscard]] Concentration linear_limit(double max_deviation) const;
-
-  /// Expected-returning counterpart of linear_limit().
+  /// S* = max_deviation/(1-max_deviation) * K_M. A chem-layer spec
+  /// error unless max_deviation is in (0, 1).
   [[nodiscard]] Expected<Concentration> try_linear_limit(
       double max_deviation) const;
 

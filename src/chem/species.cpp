@@ -86,10 +86,6 @@ Expected<const Species*> try_species(std::string_view name) {
                     "unknown species: " + std::string(name));
 }
 
-const Species& species_or_throw(std::string_view name) {
-  return *try_species(name).value_or_throw();
-}
-
 std::string_view to_string(SpeciesKind kind) {
   switch (kind) {
     case SpeciesKind::kMetabolite:

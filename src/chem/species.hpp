@@ -48,9 +48,6 @@ struct Species {
 /// Looks up a species by name; a chem-layer spec error when absent.
 [[nodiscard]] Expected<const Species*> try_species(std::string_view name);
 
-/// Throwing shim over try_species() (public convenience boundary).
-[[nodiscard]] const Species& species_or_throw(std::string_view name);
-
 /// Human-readable kind name ("metabolite", "drug", ...).
 [[nodiscard]] std::string_view to_string(SpeciesKind kind);
 

@@ -6,13 +6,12 @@
 // two audiences:
 //  - the compiler: [[gnu::hot]] biases inlining/layout toward these
 //    functions on GCC/Clang (and expands to nothing elsewhere);
-//  - biosens-lint: the hot-path-discipline check forbids std::function
-//    construction and heap allocation inside any BIOSENS_HOT body, and
-//    biosens-graph's hot-path-transitive check extends that over the
-//    whole call graph — nothing a BIOSENS_HOT function reaches may
-//    allocate, lock, throw, or build a std::function — so the
-//    zero-allocation contract of docs/performance.md is enforced, not
-//    just documented (docs/static-analysis.md).
+//  - biosens-graph: the hot-path-transitive check roots at every
+//    BIOSENS_HOT function and walks its body and whole call graph —
+//    nothing a BIOSENS_HOT function does or reaches may allocate, lock,
+//    throw, or build a std::function — so the zero-allocation contract
+//    of docs/performance.md is enforced, not just documented
+//    (docs/static-analysis.md).
 #pragma once
 
 #if defined(__GNUC__) || defined(__clang__)

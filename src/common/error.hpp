@@ -1,11 +1,11 @@
 // Error taxonomy for the biosens library.
 //
-// Internal layers report failure as values (Expected<T> carrying an
-// ErrorInfo — see common/expected.hpp and docs/errors.md); the exception
-// classes below exist for the *public convenience boundary*: every
-// legacy throwing entry point is a thin shim over its try_* counterpart
-// via value_or_throw(), and ErrorInfo::raise() rematerializes the
-// matching class here. Recoverable "no result" cases use std::optional.
+// Fallible operations report failure as values (Expected<T> carrying an
+// ErrorInfo — see common/expected.hpp and docs/errors.md). The exception
+// classes below remain for require<E>() preconditions and for
+// Expected::value(), which rematerializes the matching class here (via
+// ErrorInfo::raise()) when a caller asks for an absent value.
+// Recoverable "no result" cases use std::optional.
 #pragma once
 
 #include <stdexcept>

@@ -5,11 +5,11 @@
 // electrochem -> readout -> analysis -> core -> engine) report failure
 // as a *value*: an Expected<T> either holds the result or an ErrorInfo
 // naming the error class, the originating layer, the stage that failed,
-// and a context chain accumulated on the way out (ctx()). Exceptions
-// remain only at the public convenience boundary: every legacy throwing
-// entry point is a one-line shim over its try_* counterpart via
-// value_or_throw(). See docs/errors.md for the taxonomy, the
-// retryability rules, and the layer-boundary convention.
+// and a context chain accumulated on the way out (ctx()). Each fallible
+// operation has one entry point, its try_* function; a caller that wants
+// an exception instead calls value() on the result. See docs/errors.md
+// for the taxonomy, the retryability rules, and the layer-boundary
+// convention.
 //
 // This header and common/error.hpp are the only places in src/ allowed
 // to contain a throw statement (enforced by ci/check.sh lint).
@@ -138,8 +138,8 @@ struct ErrorInfo {
     return out;
   }
 
-  /// Rematerializes the matching legacy exception — the public
-  /// convenience boundary only; internal code never calls this.
+  /// Rematerializes the matching exception class — Expected::value() on
+  /// an absent value only; internal code never calls this.
   [[noreturn]] void raise() const {
     const std::string what = describe();
     switch (code) {
@@ -205,8 +205,7 @@ class [[nodiscard]] Expected {
   [[nodiscard]] bool has_value() const { return data_.index() == 0; }
   explicit operator bool() const { return has_value(); }
 
-  /// The value; raises the stored error's exception when absent (which
-  /// makes `value()` itself the throwing shim primitive).
+  /// The value; raises the stored error's exception when absent.
   [[nodiscard]] const T& value() const& {
     if (!has_value()) std::get<1>(data_).raise();
     return std::get<0>(data_);
@@ -219,10 +218,6 @@ class [[nodiscard]] Expected {
     if (!has_value()) std::get<1>(data_).raise();
     return std::get<0>(std::move(data_));
   }
-
-  /// Explicit name for the public-boundary shims (documented verb).
-  [[nodiscard]] const T& value_or_throw() const& { return value(); }
-  [[nodiscard]] T&& value_or_throw() && { return std::move(*this).value(); }
 
   /// Unchecked access: the caller has already tested has_value(). This
   /// is the accessor BIOSENS_HOT code must use after its error branch —
@@ -275,7 +270,6 @@ class [[nodiscard]] Expected<void> {
   void value() const {
     if (failed_) error_.raise();
   }
-  void value_or_throw() const { value(); }
 
   [[nodiscard]] const ErrorInfo& error() const { return error_; }
   [[nodiscard]] ErrorInfo& error() { return error_; }

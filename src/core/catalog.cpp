@@ -35,11 +35,11 @@ CatalogEntry make_entry(std::string name, std::string citation,
   spec.assembly.geometry = std::move(geometry);
   spec.assembly.modification = std::move(modification);
   spec.assembly.immobilization =
-      electrode::immobilization_defaults(immobilization);
-  spec.assembly.enzyme = chem::enzyme_or_throw(enzyme);
+      electrode::try_immobilization_defaults(immobilization).value();
+  spec.assembly.enzyme = *chem::try_enzyme(enzyme).value();
   spec.assembly.substrate = std::move(target);
   calibrate_to_figures(spec, published);
-  spec.validate();
+  spec.try_validate().value();
   return {std::move(spec), published, is_platform};
 }
 
@@ -75,7 +75,7 @@ CatalogEntry make_fet_entry(std::string name, std::string citation,
   spec.assembly.geometry.working_area = device.channel_area;
   spec.assembly.geometry.min_sample_volume = Volume::microliters(10.0);
   spec.fet = std::move(device);
-  spec.validate();
+  spec.try_validate().value();
   return {std::move(spec), published, false};
 }
 
@@ -301,10 +301,6 @@ Expected<CatalogEntry> try_entry(std::string_view name) {
   }
   return make_error(ErrorCode::kSpec, Layer::kCore, "catalog lookup",
                     "no catalog entry named '" + std::string(name) + "'");
-}
-
-CatalogEntry entry_or_throw(std::string_view name) {
-  return try_entry(name).value_or_throw();
 }
 
 }  // namespace biosens::core

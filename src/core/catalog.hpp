@@ -65,8 +65,4 @@ struct CatalogEntry {
 /// Finds an entry by device name; a core-layer spec error when absent.
 [[nodiscard]] Expected<CatalogEntry> try_entry(std::string_view name);
 
-/// Finds an entry by device name; throws SpecError when absent.
-/// Throwing shim over try_entry().
-[[nodiscard]] CatalogEntry entry_or_throw(std::string_view name);
-
 }  // namespace biosens::core

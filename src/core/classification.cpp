@@ -6,7 +6,7 @@ namespace biosens::core {
 namespace {
 
 classify::TargetClass target_class_of(const std::string& species) {
-  switch (chem::species_or_throw(species).kind) {
+  switch (chem::try_species(species).value()->kind) {
     case chem::SpeciesKind::kDrug:
       return classify::TargetClass::kDrug;
     case chem::SpeciesKind::kMetabolite:

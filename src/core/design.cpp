@@ -95,7 +95,7 @@ std::pair<double, double> measure_model(const ResponseModel& model,
   opts.linearity_tolerance = tolerance;
   const analysis::CalibrationEngine engine(opts);
   const analysis::CalibrationResult r =
-      engine.calibrate(points, 0.0, area, point_sigma_a);
+      engine.try_calibrate(points, 0.0, area, point_sigma_a).value();
   return {r.sensitivity.raw(), r.linear_range_high.milli_molar()};
 }
 
@@ -171,7 +171,7 @@ void calibrate_to_figures(SensorSpec& spec, const PublishedFigures& figures,
   require<SpecError>(sigma_target > 0.0, "target sensitivity must be > 0");
   const Area area = assembly.geometry.working_area;
   const Diffusivity d =
-      chem::species_or_throw(assembly.substrate).diffusivity;
+      chem::try_species(assembly.substrate).value()->diffusivity;
   const int electrons = kin->electrons;
 
   std::function<ResponseModel(double, double)> build;

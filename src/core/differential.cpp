@@ -19,8 +19,8 @@ double DifferentialSensor::measure_differential_a(const chem::Sample& sample,
                                                   Rng& rng) const {
   // Both channels share the cell and run concurrently on independent
   // readout channels (independent electronics noise, common chemistry).
-  const double a = active_.measure(sample, rng).response_a;
-  const double r = reference_.measure(sample, rng).response_a;
+  const double a = active_.try_measure(sample, rng).value().response_a;
+  const double r = reference_.try_measure(sample, rng).value().response_a;
   return a - r;
 }
 

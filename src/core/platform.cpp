@@ -35,10 +35,6 @@ Expected<const AssayResult*> PanelReport::try_for_target(
                         std::string(target) + "'");
 }
 
-const AssayResult& PanelReport::for_target(std::string_view target) const {
-  return *try_for_target(target).value_or_throw();
-}
-
 std::size_t Platform::add_sensor(const CatalogEntry& entry,
                                  MeasurementOptions options) {
   require<SpecError>(calibrations_.empty(),
@@ -68,10 +64,6 @@ const analysis::CalibrationResult& Platform::calibration(
   return calibrations_[i];
 }
 
-void Platform::calibrate_all(Rng& rng, const ProtocolOptions& options) {
-  try_calibrate_all(rng, options).value_or_throw();
-}
-
 Expected<void> Platform::try_calibrate_all(Rng& rng,
                                            const ProtocolOptions& options) {
   calibrations_.clear();
@@ -93,16 +85,12 @@ Expected<void> Platform::try_calibrate_all(Rng& rng,
   return ok();
 }
 
-PanelReport Platform::assay(const chem::Sample& sample, Rng& rng) const {
-  return try_assay(sample, rng).value_or_throw();
-}
-
 Expected<PanelReport> Platform::try_assay(const chem::Sample& sample,
                                           Rng& rng,
                                           engine::SimCache* cache) const {
   obs::ObsSpan span(Layer::kCore, "assay-panel");
   BIOSENS_EXPECT(calibrated(), ErrorCode::kSpec, Layer::kCore, "assay panel",
-                 "calibrate_all() before assay()");
+                 "calibrate the platform before an assay");
 
   PanelReport report;
   report.results.reserve(sensors_.size());
@@ -142,7 +130,7 @@ Expected<PanelReport> Platform::try_assay(const chem::Sample& sample,
 PanelBatchResult Platform::run_panel_batch(
     const std::vector<chem::Sample>& samples, engine::Engine& engine,
     const PanelBatchOptions& options) const {
-  require<SpecError>(calibrated(), "calibrate_all() before run_panel_batch()");
+  require<SpecError>(calibrated(), "calibrate the platform before a batch");
 
   PanelBatchResult result;
   result.reports.resize(samples.size());
@@ -211,12 +199,6 @@ PanelBatchResult Platform::run_panel_batch(
     result.jobs = engine.run(jobs, batch);
   }
   return result;
-}
-
-void Platform::calibrate_all_batch(engine::Engine& engine,
-                                   std::uint64_t seed,
-                                   const ProtocolOptions& options) {
-  try_calibrate_all_batch(engine, seed, options).value_or_throw();
 }
 
 Expected<void> Platform::try_calibrate_all_batch(
@@ -302,7 +284,7 @@ Expected<void> Platform::try_calibrate_all_batch(
 
 PanelReport Platform::assay_unmixed(const chem::Sample& sample,
                                     Rng& rng) const {
-  require<SpecError>(calibrated(), "calibrate_all() before assay()");
+  require<SpecError>(calibrated(), "calibrate the platform before an assay");
 
   // Characterize the cross-sensitivity matrix once per platform.
   if (!panel_model_.has_value()) {
@@ -320,7 +302,7 @@ PanelReport Platform::assay_unmixed(const chem::Sample& sample,
                          "panel is chemically degenerate (same-isoform "
                          "sensors); deconvolution cannot resolve it");
 
-  PanelReport report = assay(sample, rng);
+  PanelReport report = try_assay(sample, rng).value();
   std::vector<double> responses;
   responses.reserve(report.results.size());
   for (const AssayResult& r : report.results) {

@@ -46,10 +46,6 @@ struct PanelReport {
   /// Result for a target; a core-layer analysis error when absent.
   [[nodiscard]] Expected<const AssayResult*> try_for_target(
       std::string_view target) const;
-
-  /// Result for a target; throws AnalysisError when absent. Throwing
-  /// shim over try_for_target().
-  [[nodiscard]] const AssayResult& for_target(std::string_view target) const;
 };
 
 /// Options of an engine-backed panel batch (see run_panel_batch).
@@ -94,23 +90,15 @@ class Platform {
   [[nodiscard]] static Platform paper_platform();
 
   /// Calibrates every sensor over its standard series; must run before
-  /// assay(). Deterministic given the rng. Throwing shim over
-  /// try_calibrate_all().
-  void calibrate_all(Rng& rng, const ProtocolOptions& options = {});
-
-  /// Expected-returning counterpart of calibrate_all(). On any sensor's
-  /// failure the platform is left consistently *not* calibrated and the
+  /// try_assay(). Deterministic given the rng. On any sensor's failure
+  /// the platform is left consistently *not* calibrated and the
   /// structured error names the offending sensor in its context chain.
   [[nodiscard]] Expected<void> try_calibrate_all(
       Rng& rng, const ProtocolOptions& options = {});
 
   /// Measures every sensor against the sample and reports estimated
-  /// concentrations. Requires calibrate_all() first. Throwing shim over
-  /// try_assay().
-  [[nodiscard]] PanelReport assay(const chem::Sample& sample, Rng& rng) const;
-
-  /// Expected-returning counterpart of assay(): a measurement failure on
-  /// any sensor surfaces as the structured error of the whole panel,
+  /// concentrations. Requires a calibration first. A measurement failure
+  /// on any sensor surfaces as the structured error of the whole panel,
   /// with an "assay panel" context frame — no exceptions cross the core
   /// boundary. A non-null `cache` memoizes each sensor's deterministic
   /// pre-noise simulation stage (see BiosensorModel::try_measure);
@@ -126,30 +114,25 @@ class Platform {
   /// engine's worker count. Panels whose QC rejects any assay are
   /// re-measured under options.retry (each attempt with its own derived
   /// stream); the last attempt's report is returned either way.
-  /// Thread-safe: assay() mutates nothing. Requires calibrate_all().
+  /// Thread-safe: try_assay() mutates nothing. Requires a calibration.
   [[nodiscard]] PanelBatchResult run_panel_batch(
       const std::vector<chem::Sample>& samples, engine::Engine& engine,
       const PanelBatchOptions& options = {}) const;
 
   /// Calibrates every sensor as one engine batch (one calibration-sweep
   /// job per sensor, sensor i on stream child(i)). The engine-native
-  /// counterpart of calibrate_all(): faster on a parallel engine, and
-  /// its results are identical for every worker count — but it is a
+  /// counterpart of try_calibrate_all(): faster on a parallel engine,
+  /// and its results are identical for every worker count — but it is a
   /// *different* (per-sensor-seeded) derivation than the serial shared-
-  /// rng calibrate_all(), so the two produce different (both valid)
-  /// calibrations. See docs/determinism.md. Throwing shim over
-  /// try_calibrate_all_batch().
-  void calibrate_all_batch(engine::Engine& engine, std::uint64_t seed,
-                           const ProtocolOptions& options = {});
-
-  /// Expected-returning counterpart of calibrate_all_batch(): scans the
-  /// engine's per-job reports and surfaces the lowest-indexed sensor's
-  /// structured error, leaving the platform consistently uncalibrated.
+  /// rng try_calibrate_all(), so the two produce different (both valid)
+  /// calibrations. See docs/determinism.md. Scans the engine's per-job
+  /// reports and surfaces the lowest-indexed sensor's structured error,
+  /// leaving the platform consistently uncalibrated.
   [[nodiscard]] Expected<void> try_calibrate_all_batch(
       engine::Engine& engine, std::uint64_t seed,
       const ProtocolOptions& options = {});
 
-  /// Like assay(), but additionally unmixes isoform cross-reactivity
+  /// Like try_assay(), but additionally unmixes isoform cross-reactivity
   /// through the panel's cross-sensitivity matrix (characterized once,
   /// lazily). The per-target estimates in the report are the unmixed
   /// concentrations. Throws AnalysisError when the panel is chemically

@@ -29,12 +29,6 @@ std::vector<Concentration> CalibrationProtocol::linear_series(
   return out;
 }
 
-ProtocolOutcome CalibrationProtocol::run(
-    const BiosensorModel& sensor, std::span<const Concentration> series,
-    Rng& rng, engine::SimCache* cache) const {
-  return try_run(sensor, series, rng, cache).value_or_throw();
-}
-
 Expected<ProtocolOutcome> CalibrationProtocol::try_run(
     const BiosensorModel& sensor, std::span<const Concentration> series,
     Rng& rng, engine::SimCache* cache) const {

@@ -35,17 +35,10 @@ class CalibrationProtocol {
  public:
   explicit CalibrationProtocol(ProtocolOptions options = {});
 
-  /// Measures the series (plus blanks) and calibrates. Throwing shim
-  /// over try_run().
-  [[nodiscard]] ProtocolOutcome run(const BiosensorModel& sensor,
-                                    std::span<const Concentration> series,
-                                    Rng& rng,
-                                    engine::SimCache* cache = nullptr) const;
-
-  /// Expected-returning counterpart of run(): a malformed series, a
-  /// measurement failure on any blank or level, or a calibration-fit
-  /// rejection comes back as a structured error with a "calibration
-  /// protocol" context frame instead of an exception. `cache` memoizes
+  /// Measures the series (plus blanks) and calibrates. A malformed
+  /// series, a measurement failure on any blank or level, or a
+  /// calibration-fit rejection comes back as a structured error with a
+  /// "calibration protocol" context frame. `cache` memoizes
   /// only deterministic pre-noise stages (the cohort-batching prefill
   /// seeds it); results are byte-identical with or without one.
   [[nodiscard]] Expected<ProtocolOutcome> try_run(

@@ -54,8 +54,9 @@ QcReport review_calibration(const CatalogEntry& design,
     add(report, QcFlag::kSensitivityCollapsed);
   }
 
-  const double design_noise =
-      electrode::synthesize(design.spec.assembly).blank_noise_rms.amps();
+  const double design_noise = electrode::try_synthesize(design.spec.assembly)
+                                  .value()
+                                  .blank_noise_rms.amps();
   if (r.blank_sigma_a > policy.max_blank_sigma_factor * design_noise) {
     add(report, QcFlag::kBlankUnstable);
   }

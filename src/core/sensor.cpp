@@ -12,7 +12,7 @@ BiosensorModel::BiosensorModel(SensorSpec spec, MeasurementOptions options)
     : spec_(std::move(spec)),
       options_(options),
       transducer_(make_transducer(spec_, options_)) {
-  spec_.validate();
+  spec_.try_validate().value();
 }
 
 const electrode::EffectiveLayer& BiosensorModel::layer() const {
@@ -22,11 +22,6 @@ const electrode::EffectiveLayer& BiosensorModel::layer() const {
                          "' has no electrochemical layer (" +
                          std::string(to_string(spec_.technique)) + ")");
   return *layer;
-}
-
-Measurement BiosensorModel::measure(const chem::Sample& sample,
-                                    Rng& rng) const {
-  return try_measure(sample, rng).value_or_throw();
 }
 
 Expected<Measurement> BiosensorModel::try_measure(

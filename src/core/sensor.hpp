@@ -1,6 +1,6 @@
 // BiosensorModel: a SensorSpec wired to a transduction backend.
 //
-// measure() runs the complete stack the paper's device runs physically —
+// try_measure() runs the complete stack the paper's device runs physically —
 // surface chemistry, signal generation, noisy readout, reduction to one
 // response value — but the mechanism-specific pipeline lives behind the
 // core::Transducer seam (core/transducer.hpp): amperometric specs run
@@ -26,13 +26,8 @@ class BiosensorModel {
  public:
   explicit BiosensorModel(SensorSpec spec, MeasurementOptions options = {});
 
-  /// Full noisy measurement of a sample. Throwing shim over
-  /// try_measure().
-  [[nodiscard]] Measurement measure(const chem::Sample& sample,
-                                    Rng& rng) const;
-
-  /// Expected-returning counterpart of measure(): every fallible stage of
-  /// the pipeline (sample-species validation, the backend simulation,
+  /// Full noisy measurement of a sample. Every fallible stage of the
+  /// pipeline (sample-species validation, the backend simulation,
   /// autoranging, acquisition, trace reduction) reports through the
   /// returned Expected with a "measure <sensor>" context frame — no
   /// exceptions cross the core boundary.

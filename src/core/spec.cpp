@@ -4,8 +4,6 @@
 
 namespace biosens::core {
 
-void SensorSpec::validate() const { try_validate().value_or_throw(); }
-
 Expected<void> SensorSpec::try_validate() const {
   if (technique == Technique::kFieldEffectTransfer) {
     // Field-effect specs carry no enzymatic assembly; the device params

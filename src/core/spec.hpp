@@ -58,10 +58,7 @@ struct SensorSpec {
   ///    technique (the paper's Table 1 pairings);
   ///  - voltammetric windows must bracket the enzyme's formal potential;
   ///  - the assembly itself must be physical.
-  /// Throws SpecError on violation. Throwing shim over try_validate().
-  void validate() const;
-
-  /// Expected-returning counterpart of validate().
+  /// A spec error on violation.
   [[nodiscard]] Expected<void> try_validate() const;
 
   /// True when the CYP/voltammetric family is used. Explicit enumeration

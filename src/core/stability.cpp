@@ -11,11 +11,13 @@ StabilityReport stability_after(const SensorSpec& spec, Time age) {
   require<SpecError>(age.seconds() >= 0.0, "age must be non-negative");
   StabilityReport report;
   report.age = age;
-  report.initial = electrode::synthesize(spec.assembly,
-                                         Time::seconds(0.0))
-                       .intrinsic_sensitivity();
-  report.aged =
-      electrode::synthesize(spec.assembly, age).intrinsic_sensitivity();
+  report.initial =
+      electrode::try_synthesize(spec.assembly, Time::seconds(0.0))
+          .value()
+          .intrinsic_sensitivity();
+  report.aged = electrode::try_synthesize(spec.assembly, age)
+                    .value()
+                    .intrinsic_sensitivity();
   report.retained = report.aged / report.initial;
   return report;
 }

@@ -68,14 +68,15 @@ Concentration TherapyMonitor::measure_serum(Concentration true_level,
   const std::string& drug = sensor_.spec().target;
   const chem::Sample neat = chem::serum_sample(drug, true_level);
   const Concentration first =
-      to_concentration(sensor_.measure(neat, rng).response_a);
+      to_concentration(sensor_.try_measure(neat, rng).value().response_a);
   if (first.milli_molar() <= 0.70 * linear_range_high_.milli_molar()) {
     return first;
   }
   // Over-range: re-measure at 1:4 dilution and scale back.
   chem::Sample diluted = chem::serum_sample(drug, true_level);
   diluted.dilute(4.0);
-  return 4.0 * to_concentration(sensor_.measure(diluted, rng).response_a);
+  return 4.0 * to_concentration(
+                   sensor_.try_measure(diluted, rng).value().response_a);
 }
 
 namespace {
@@ -137,7 +138,7 @@ std::vector<TherapyEvent> TherapyMonitor::run_course(
       const chem::Sample naive = chem::serum_sample(
           sensor_.spec().target, Concentration::milli_molar(0.0));
       matrix_offset_mm = raw_concentration_mm(
-          sensor_.measure(naive, rng).response_a, slope_a_per_mm_,
+          sensor_.try_measure(naive, rng).value().response_a, slope_a_per_mm_,
           intercept_a_);
       measured = Concentration::milli_molar(0.0);
     } else {

@@ -52,10 +52,6 @@ Concentration Cell::substrate_bulk() const {
   return sample_.concentration_of(layer_.substrate);
 }
 
-double Cell::environment_factor() const {
-  return try_environment_factor().value_or_throw();
-}
-
 Expected<double> Cell::try_environment_factor() const {
   return ctx("environment factor",
              chem::try_relative_activity(layer_.environment, sample_.buffer(),
@@ -73,10 +69,6 @@ double Cell::layer_thickness_m(Time elapsed) const {
   return std::max(delta, 1e-6);
 }
 
-Current Cell::interferent_current(Potential applied) const {
-  return try_interferent_current(applied).value_or_throw();
-}
-
 Expected<std::vector<InterferentTerm>> Cell::try_interferent_terms() const {
   std::vector<InterferentTerm> terms;
   const double delta = layer_thickness_m(Time::seconds(30.0));
@@ -91,9 +83,13 @@ Expected<std::vector<InterferentTerm>> Cell::try_interferent_terms() const {
                  Expected<std::vector<InterferentTerm>>(species.error()));
     }
     const chem::Species& sp = **species;
-    const CurrentDensity j_lim = transport::limiting_current_density(
+    auto j_lim = transport::try_limiting_current_density(
         oxidation_electrons(name), sp.diffusivity, c, delta);
-    terms.push_back({onset->volts(), j_lim.amps_per_m2()});
+    if (!j_lim) {
+      return ctx("interferent current",
+                 Expected<std::vector<InterferentTerm>>(j_lim.error()));
+    }
+    terms.push_back({onset->volts(), (*j_lim).amps_per_m2()});
   }
   return terms;
 }

@@ -42,12 +42,8 @@ class Cell {
   /// Faradaic current from direct interferent electro-oxidation at the
   /// applied potential. Each interferent contributes its diffusion-
   /// limited current gated by a sigmoidal onset in potential and
-  /// attenuated by the film's permselectivity.
-  /// Throwing shim over try_interferent_current().
-  [[nodiscard]] Current interferent_current(Potential applied) const;
-
-  /// Expected-returning counterpart of interferent_current(); surfaces
-  /// unknown sample species as structured chem-layer errors.
+  /// attenuated by the film's permselectivity. Unknown sample species
+  /// surface as structured chem-layer errors.
   [[nodiscard]] Expected<Current> try_interferent_current(
       Potential applied) const;
 
@@ -80,13 +76,9 @@ class Cell {
 
   /// Enzyme activity of the layer under this sample's conditions
   /// (dissolved O2, pH, temperature), relative to the reference
-  /// calibration buffer (see chem/environment.hpp).
-  /// Throwing shim over try_environment_factor().
-  [[nodiscard]] double environment_factor() const;
-
-  /// Expected-returning counterpart of environment_factor(); the chem
-  /// layer's co-substrate / environment spec errors pass through with
-  /// this cell's context frame attached.
+  /// calibration buffer (see chem/environment.hpp). The chem layer's
+  /// co-substrate / environment spec errors pass through with this
+  /// cell's context frame attached.
   [[nodiscard]] Expected<double> try_environment_factor() const;
 
   [[nodiscard]] const electrode::EffectiveLayer& layer() const {

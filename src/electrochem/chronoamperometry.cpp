@@ -27,10 +27,6 @@ ChronoamperometrySim::ChronoamperometrySim(Cell cell, PotentialStep waveform,
   require<SpecError>(options.grid_nodes >= 3, "grid too coarse");
 }
 
-TimeSeries ChronoamperometrySim::run() const {
-  return try_run().value_or_throw();
-}
-
 BIOSENS_HOT Expected<TimeSeries> ChronoamperometrySim::try_run() const {
   obs::ObsSpan span(Layer::kElectrochem, "chrono-sweep");
   const electrode::EffectiveLayer& layer = cell_.layer();
@@ -105,10 +101,6 @@ BIOSENS_HOT Expected<TimeSeries> ChronoamperometrySim::try_run() const {
   return trace;
 }
 
-Current ChronoamperometrySim::steady_state() const {
-  return try_steady_state().value_or_throw();
-}
-
 Expected<Current> ChronoamperometrySim::try_steady_state() const {
   return ctx("steady state", try_run().and_then([](const TimeSeries& trace) {
     return trace.try_tail_mean_a(0.1).map(
@@ -117,9 +109,9 @@ Expected<Current> ChronoamperometrySim::try_steady_state() const {
 }
 
 Time ChronoamperometrySim::response_time_95() const {
-  const TimeSeries trace = run();
+  const TimeSeries trace = try_run().value();
   require<AnalysisError>(!trace.empty(), "empty trace");
-  const double final_value = trace.tail_mean_a(0.05);
+  const double final_value = trace.try_tail_mean_a(0.05).value();
   if (std::abs(final_value) <= 0.0) return Time::seconds(0.0);
   // The answer is the first index from which the signal *stays* within
   // 5% of the final value — i.e. one past the last excursion. A single

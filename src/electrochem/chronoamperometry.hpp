@@ -36,19 +36,12 @@ class ChronoamperometrySim {
 
   /// Runs the experiment and returns the (noiseless) current trace.
   /// Deterministic; noise is the readout chain's responsibility.
-  /// Throwing shim over try_run().
-  [[nodiscard]] TimeSeries run() const;
-
-  /// Expected-returning counterpart of run(): chem-layer environment /
-  /// co-substrate violations and layer-kinetics spec errors surface as
-  /// structured errors with the "chronoamperometry" context frame.
+  /// Chem-layer environment / co-substrate violations and layer-kinetics
+  /// spec errors surface as structured errors with the
+  /// "chronoamperometry" context frame.
   [[nodiscard]] Expected<TimeSeries> try_run() const;
 
   /// Steady-state current: mean of the trailing 10% of the trace.
-  /// Throwing shim over try_steady_state().
-  [[nodiscard]] Current steady_state() const;
-
-  /// Expected-returning counterpart of steady_state().
   [[nodiscard]] Expected<Current> try_steady_state() const;
 
   /// Time at which the enzymatic current first reaches 95% of its final

@@ -36,10 +36,6 @@ double DifferentialPulseSim::differential_shape_factor(
   return std::abs(reduced_fraction(a / 2.0) - reduced_fraction(-a / 2.0));
 }
 
-DpvTrace DifferentialPulseSim::run() const {
-  return try_run().value_or_throw();
-}
-
 BIOSENS_HOT Expected<DpvTrace> DifferentialPulseSim::try_run() const {
   obs::ObsSpan span(Layer::kElectrochem, "dpv-sweep");
   const electrode::EffectiveLayer& layer = cell_.layer();
@@ -70,7 +66,7 @@ BIOSENS_HOT Expected<DpvTrace> DifferentialPulseSim::try_run() const {
   // substrates add their own turnover; the whole term scales with the
   // sample-condition activity.
   double catalytic =
-      layer.catalytic_current_from(*kin, cell_.substrate_bulk()).amps();
+      layer.catalytic_current(*kin, cell_.substrate_bulk()).amps();
   for (const electrode::CrossActivity& cross : layer.secondary) {
     const Concentration c =
         cell_.sample().concentration_of(cross.substrate);

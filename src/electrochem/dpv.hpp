@@ -45,12 +45,9 @@ class DifferentialPulseSim {
                        DpvOptions options = {});
 
   /// Runs the staircase and returns the (noiseless) differential trace.
-  /// Throwing shim over try_run().
-  [[nodiscard]] DpvTrace run() const;
-
-  /// Expected-returning counterpart of run(): unknown sample species,
-  /// degenerate layer kinetics, and environment violations come back as
-  /// structured errors with the "dpv" context frame.
+  /// Unknown sample species, degenerate layer kinetics, and environment
+  /// violations come back as structured errors with the "dpv" context
+  /// frame.
   [[nodiscard]] Expected<DpvTrace> try_run() const;
 
   /// The peak magnitude of the differential faradaic response per unit

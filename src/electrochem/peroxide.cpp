@@ -47,16 +47,16 @@ double PeroxideChronoSim::electrode_rate_m_per_s() const {
 double PeroxideChronoSim::collection_efficiency() const {
   const double k_e = electrode_rate_m_per_s();
   const double d_p =
-      chem::species_or_throw("hydrogen peroxide").diffusivity.m2_per_s();
+      chem::try_species("hydrogen peroxide").value()->diffusivity.m2_per_s();
   const double delta = cell_.layer_thickness_m(options_.duration);
   return k_e / (k_e + d_p / delta);
 }
 
 TimeSeries PeroxideChronoSim::run() const {
   const electrode::EffectiveLayer& layer = cell_.layer();
-  const chem::MichaelisMenten kinetics = layer.kinetics();
+  const chem::MichaelisMenten kinetics = layer.try_kinetics().value();
   const double gamma = layer.wired_coverage.mol_per_m2();
-  const double activity = cell_.environment_factor();
+  const double activity = cell_.try_environment_factor().value();
   const double k_e = electrode_rate_m_per_s();
   const double delta = cell_.layer_thickness_m(options_.duration);
 
@@ -64,7 +64,7 @@ TimeSeries PeroxideChronoSim::run() const {
   transport::DiffusionField substrate(layer.substrate_diffusivity, grid,
                                       cell_.substrate_bulk());
   transport::DiffusionField peroxide(
-      chem::species_or_throw("hydrogen peroxide").diffusivity, grid,
+      chem::try_species("hydrogen peroxide").value()->diffusivity, grid,
       Concentration::milli_molar(0.0));
 
   const auto enzymatic_flux = [&](double s0) {
@@ -97,7 +97,7 @@ TimeSeries PeroxideChronoSim::run() const {
 }
 
 Current PeroxideChronoSim::steady_state() const {
-  return Current::amps(run().tail_mean_a(0.1));
+  return Current::amps(run().try_tail_mean_a(0.1).value());
 }
 
 }  // namespace biosens::electrochem

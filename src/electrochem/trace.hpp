@@ -32,15 +32,9 @@ struct TimeSeries {
   }
 
   /// Mean current over the trailing fraction of the trace (steady-state
-  /// readout window). `fraction` in (0, 1]. Throwing shim over
-  /// try_tail_mean_a().
-  [[nodiscard]] double tail_mean_a(double fraction = 0.1) const {
-    return try_tail_mean_a(fraction).value_or_throw();
-  }
-
-  /// Expected-returning counterpart of tail_mean_a(). The window always
-  /// contains at least one sample: floor(fraction * n) clamped up to 1,
-  /// never past the start of the trace (the old code under-flowed
+  /// readout window). `fraction` in (0, 1]. The window always contains
+  /// at least one sample: floor(fraction * n) clamped up to 1, never
+  /// past the start of the trace (the old code under-flowed
   /// `n - floor(fraction*n)` for tiny fractions and then silently
   /// clamped; the window arithmetic is now exact by construction).
   [[nodiscard]] Expected<double> try_tail_mean_a(

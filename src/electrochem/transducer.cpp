@@ -45,7 +45,7 @@ AmperometricTransducer::AmperometricTransducer(
     core::SensorSpec spec, core::MeasurementOptions options)
     : spec_(std::move(spec)),
       options_(options),
-      layer_(electrode::synthesize(spec_.assembly)) {}
+      layer_(electrode::try_synthesize(spec_.assembly).value()) {}
 
 Cell AmperometricTransducer::make_cell(const chem::Sample& sample) const {
   return Cell(layer_, sample, options_.hydrodynamics);
@@ -85,7 +85,7 @@ engine::CacheKey AmperometricTransducer::simulation_key(
   key.add(spec_.cv_vertex.volts());
 
   // The synthesized layer — every assembly field that reaches the
-  // physics is folded into these (synthesize() is deterministic).
+  // physics is folded into these (try_synthesize() is deterministic).
   key.add(std::string_view(layer_.substrate));
   key.add(layer_.substrate_diffusivity.m2_per_s());
   key.add(layer_.wired_coverage.mol_per_m2());
@@ -320,7 +320,7 @@ double AmperometricTransducer::ideal_response_a(
     const chem::Sample& sample) const {
   if (spec_.technique == core::Technique::kDifferentialPulseVoltammetry) {
     const DifferentialPulseSim sim(make_cell(sample), standard_cyp_dpv());
-    const auto peak = analysis::find_dpv_peak(sim.run());
+    const auto peak = analysis::find_dpv_peak(sim.try_run().value());
     return peak.has_value() ? peak->height_a : 0.0;
   }
   if (spec_.technique == core::Technique::kChronoamperometry) {
@@ -329,12 +329,13 @@ double AmperometricTransducer::ideal_response_a(
     const PotentialStep step(Potential::volts(0.0), spec_.ca_step_potential,
                              spec_.ca_hold);
     const ChronoamperometrySim sim(make_cell(sample), step, chrono);
-    return sim.run().tail_mean_a(0.1);
+    return sim.try_run().value().try_tail_mean_a(0.1).value();
   }
   const CyclicSweep sweep(spec_.cv_start, spec_.cv_vertex,
                           spec_.cv_scan_rate);
   const VoltammetrySim sim(make_cell(sample), sweep, options_.voltammetry);
-  const auto peak = analysis::find_cathodic_peak(sim.run());
+  const auto peak =
+      analysis::try_find_cathodic_peak(sim.try_run().value()).value();
   return peak.has_value() ? peak->height_a : 0.0;
 }
 

@@ -61,14 +61,10 @@ Potential VoltammetrySim::peak_separation() const {
   return Potential::volts(rt_over_nf / kAlpha * std::log(1.0 / m));
 }
 
-CurrentDensity VoltammetrySim::catalytic_peak_density(Concentration c) const {
-  return catalytic_peak_density_from(cell_.layer().kinetics(), c);
-}
-
-CurrentDensity VoltammetrySim::catalytic_peak_density_from(
+CurrentDensity VoltammetrySim::catalytic_peak_density(
     const chem::MichaelisMenten& kin, Concentration c) const {
   const electrode::EffectiveLayer& layer = cell_.layer();
-  const CurrentDensity j_kin = layer.catalytic_current_density_from(kin, c);
+  const CurrentDensity j_kin = layer.catalytic_current_density(kin, c);
   // Porous CNT films expose `area_enhancement` times more electroactive
   // area to the diffusive wave than a planar electrode.
   const CurrentDensity j_transport = CurrentDensity::amps_per_m2(
@@ -77,10 +73,6 @@ CurrentDensity VoltammetrySim::catalytic_peak_density_from(
           .amps_per_m2() *
       layer.area_enhancement);
   return transport::koutecky_levich(j_kin, j_transport);
-}
-
-Voltammogram VoltammetrySim::run() const {
-  return try_run().value_or_throw();
 }
 
 BIOSENS_HOT Expected<Voltammogram> VoltammetrySim::try_run() const {
@@ -131,7 +123,7 @@ BIOSENS_HOT Expected<Voltammogram> VoltammetrySim::try_run() const {
   // (weaker) catalytic currents; the whole term scales with the
   // enzyme's activity under the sample's O2/pH/temperature.
   double catalytic =
-      catalytic_peak_density_from(*kin, cell_.substrate_bulk()).amps_per_m2() *
+      catalytic_peak_density(*kin, cell_.substrate_bulk()).amps_per_m2() *
       area;
   for (const electrode::CrossActivity& cross : layer.secondary) {
     const Concentration c =

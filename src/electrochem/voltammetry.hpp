@@ -39,12 +39,9 @@ class VoltammetrySim {
 
   /// Runs the sweep and returns the (noiseless) voltammogram. Points are
   /// in sweep order: forward branch first, reverse branch after
-  /// turning_index. Throwing shim over try_run().
-  [[nodiscard]] Voltammogram run() const;
-
-  /// Expected-returning counterpart of run(): unknown sample species,
-  /// degenerate layer kinetics, and environment violations come back as
-  /// structured errors with the "voltammetry" context frame.
+  /// turning_index. Unknown sample species, degenerate layer kinetics,
+  /// and environment violations come back as structured errors with the
+  /// "voltammetry" context frame.
   [[nodiscard]] Expected<Voltammogram> try_run() const;
 
   /// Laviron peak separation at the configured scan rate [V]; zero in
@@ -52,12 +49,9 @@ class VoltammetrySim {
   [[nodiscard]] Potential peak_separation() const;
 
   /// Kinetic catalytic current density combined with the porous-film
-  /// Randles-Sevcik transport ceiling at bulk concentration `c`.
-  [[nodiscard]] CurrentDensity catalytic_peak_density(Concentration c) const;
-
-  /// Exception-free variant for the hot sweep loop: takes the kinetics
-  /// the caller already pre-flighted through try_kinetics().
-  [[nodiscard]] CurrentDensity catalytic_peak_density_from(
+  /// Randles-Sevcik transport ceiling at bulk concentration `c`, with
+  /// `kin` the layer's law from try_kinetics().
+  [[nodiscard]] CurrentDensity catalytic_peak_density(
       const chem::MichaelisMenten& kin, Concentration c) const;
 
   [[nodiscard]] const Cell& cell() const { return cell_; }

@@ -8,8 +8,6 @@
 
 namespace biosens::electrode {
 
-void Assembly::validate() const { try_validate().value_or_throw(); }
-
 Expected<void> Assembly::try_validate() const {
   if (auto m = modification.try_validate(); !m) {
     return ctx("validate assembly", std::move(m));
@@ -39,44 +37,27 @@ Expected<void> Assembly::try_validate() const {
   return ok();
 }
 
-chem::MichaelisMenten EffectiveLayer::kinetics() const {
-  return try_kinetics().value_or_throw();
-}
-
 Expected<chem::MichaelisMenten> EffectiveLayer::try_kinetics() const {
   return ctx("effective layer kinetics",
              chem::MichaelisMenten::try_create(k_cat_app, k_m_app));
 }
 
 CurrentDensity EffectiveLayer::catalytic_current_density(
-    Concentration substrate_conc) const {
-  return catalytic_current_density_from(kinetics(), substrate_conc);
-}
-
-Current EffectiveLayer::catalytic_current(
-    Concentration substrate_conc) const {
-  return catalytic_current_from(kinetics(), substrate_conc);
-}
-
-CurrentDensity EffectiveLayer::catalytic_current_density_from(
     const chem::MichaelisMenten& kin, Concentration substrate_conc) const {
   const double flux = kin.areal_flux(wired_coverage, substrate_conc);
   return CurrentDensity::amps_per_m2(electrons * constants::kFaraday * flux);
 }
 
-Current EffectiveLayer::catalytic_current_from(
+Current EffectiveLayer::catalytic_current(
     const chem::MichaelisMenten& kin, Concentration substrate_conc) const {
-  return catalytic_current_density_from(kin, substrate_conc) * geometric_area;
+  return catalytic_current_density(kin, substrate_conc) * geometric_area;
 }
 
 Sensitivity EffectiveLayer::intrinsic_sensitivity() const {
   const double slope = electrons * constants::kFaraday *
-                       wired_coverage.mol_per_m2() * kinetics().linear_slope();
+                       wired_coverage.mol_per_m2() *
+                       try_kinetics().value().linear_slope();
   return Sensitivity::canonical(slope);
-}
-
-EffectiveLayer synthesize(const Assembly& assembly, Time age) {
-  return try_synthesize(assembly, age).value_or_throw();
 }
 
 Expected<EffectiveLayer> try_synthesize(const Assembly& assembly, Time age) {

@@ -36,12 +36,9 @@ struct Assembly {
   /// Device-specific blank-noise calibration factor.
   double noise_tuning = 1.0;
 
-  /// Validates the composition; throws SpecError when inconsistent
-  /// (unknown substrate for the enzyme, loading above the method's limit,
-  /// non-physical descriptors). Throwing shim over try_validate().
-  void validate() const;
-
-  /// Expected-returning counterpart of validate().
+  /// Validates the composition; an electrode-layer spec error when
+  /// inconsistent (unknown substrate for the enzyme, loading above the
+  /// method's limit, non-physical descriptors).
   [[nodiscard]] Expected<void> try_validate() const;
 };
 
@@ -85,30 +82,19 @@ struct EffectiveLayer {
   /// kinetics) — cross-reactivity in multi-drug panels.
   std::vector<CrossActivity> secondary;
 
-  /// Apparent Michaelis-Menten law of the layer.
-  /// Throwing shim over try_kinetics().
-  [[nodiscard]] chem::MichaelisMenten kinetics() const;
-
-  /// Expected-returning counterpart of kinetics(): the chem-layer spec
+  /// Apparent Michaelis-Menten law of the layer: the chem-layer spec
   /// error of a degenerate rate law, attributed through the electrode
   /// layer's context.
   [[nodiscard]] Expected<chem::MichaelisMenten> try_kinetics() const;
 
   /// Kinetically limited catalytic current density at a substrate
-  /// concentration: j = n * F * Gamma_wired * v(S).
+  /// concentration: j = n * F * Gamma_wired * v(S), with `kin` the law
+  /// try_kinetics() built (hoisted out of sweep loops by the caller).
   [[nodiscard]] CurrentDensity catalytic_current_density(
-      Concentration substrate_conc) const;
+      const chem::MichaelisMenten& kin, Concentration substrate_conc) const;
 
   /// Kinetically limited catalytic current (density times area).
   [[nodiscard]] Current catalytic_current(
-      Concentration substrate_conc) const;
-
-  /// Exception-free variants for hot sweep loops: the caller passes
-  /// the kinetics it already pre-flighted through try_kinetics(), so
-  /// nothing on the path can rematerialize an error as an exception.
-  [[nodiscard]] CurrentDensity catalytic_current_density_from(
-      const chem::MichaelisMenten& kin, Concentration substrate_conc) const;
-  [[nodiscard]] Current catalytic_current_from(
       const chem::MichaelisMenten& kin, Concentration substrate_conc) const;
 
   /// Low-concentration sensitivity of the layer alone (no transport
@@ -118,13 +104,8 @@ struct EffectiveLayer {
 
 /// Synthesizes the effective layer of an assembly. `age` models sensor
 /// aging: activity decays as exp(-decay * age) (zero by default).
-/// Throwing shim over try_synthesize().
-[[nodiscard]] EffectiveLayer synthesize(const Assembly& assembly,
-                                        Time age = Time::seconds(0.0));
-
-/// Expected-returning counterpart of synthesize(): validation and
-/// species-lookup failures come back as structured errors with the
-/// "synthesize layer" context frame.
+/// Validation and species-lookup failures come back as structured errors
+/// with the "synthesize layer" context frame.
 [[nodiscard]] Expected<EffectiveLayer> try_synthesize(
     const Assembly& assembly, Time age = Time::seconds(0.0));
 

@@ -6,8 +6,6 @@
 
 namespace biosens::electrode {
 
-void Immobilization::validate() const { try_validate().value_or_throw(); }
-
 Expected<void> Immobilization::try_validate() const {
   BIOSENS_EXPECT(activity_retention > 0.0 && activity_retention <= 1.0,
                  ErrorCode::kSpec, Layer::kElectrode, "immobilization",
@@ -18,10 +16,6 @@ Expected<void> Immobilization::try_validate() const {
                  Layer::kElectrode, "immobilization",
                  "decay rate must be non-negative");
   return ok();
-}
-
-Immobilization immobilization_defaults(ImmobilizationMethod method) {
-  return try_immobilization_defaults(method).value_or_throw();
 }
 
 Expected<Immobilization> try_immobilization_defaults(

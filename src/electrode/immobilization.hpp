@@ -34,21 +34,13 @@ struct Immobilization {
   /// The drift model multiplies activity by exp(-rate * t).
   Rate decay = Rate::per_second(1e-7);
 
-  /// Validates ranges; throws SpecError when out of physical bounds.
-  /// Throwing shim over try_validate().
-  void validate() const;
-
-  /// Expected-returning counterpart of validate().
+  /// Validates ranges; an electrode-layer spec error when out of
+  /// physical bounds.
   [[nodiscard]] Expected<void> try_validate() const;
 };
 
-/// Default descriptor for each method.
-/// Throwing shim over try_immobilization_defaults().
-[[nodiscard]] Immobilization immobilization_defaults(
-    ImmobilizationMethod method);
-
-/// Expected-returning counterpart of immobilization_defaults(); an
-/// electrode-layer spec error for an out-of-range method value.
+/// Default descriptor for each method; an electrode-layer spec error for
+/// an out-of-range method value.
 [[nodiscard]] Expected<Immobilization> try_immobilization_defaults(
     ImmobilizationMethod method);
 

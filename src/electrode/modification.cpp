@@ -6,8 +6,6 @@
 
 namespace biosens::electrode {
 
-void Modification::validate() const { try_validate().value_or_throw(); }
-
 Expected<void> Modification::try_validate() const {
   BIOSENS_EXPECT(area_enhancement >= 1.0, ErrorCode::kSpec,
                  Layer::kElectrode, "modification",

@@ -45,11 +45,8 @@ struct Modification {
   /// films (Nafion rejects anionic ascorbate/urate) push this toward 0.
   double interferent_transmission = 1.0;
 
-  /// Validates ranges; throws SpecError when out of physical bounds.
-  /// Throwing shim over try_validate().
-  void validate() const;
-
-  /// Expected-returning counterpart of validate().
+  /// Validates ranges; an electrode-layer spec error when out of
+  /// physical bounds.
   [[nodiscard]] Expected<void> try_validate() const;
 };
 

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
@@ -78,10 +77,6 @@ void run_one_job(Engine& engine, const JobSpec& job, std::size_t index,
       std::unique_lock<std::mutex> hold;
       if (instrument != nullptr) {
         hold = std::unique_lock<std::mutex>(*instrument);
-      }
-      if (engine.dwell_scale() > 0.0 && job.dwell.seconds() > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            job.dwell.seconds() * engine.dwell_scale()));
       }
       // The one sanctioned exception boundary: third-party job bodies
       // may still throw into the engine; everything is classified back

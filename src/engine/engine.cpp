@@ -1,7 +1,5 @@
 #include "engine/engine.hpp"
 
-#include "common/error.hpp"
-
 namespace biosens::engine {
 
 Engine::Engine(EngineOptions options)
@@ -23,8 +21,6 @@ Engine::Engine(EngineOptions options)
             return sample;
           },
           obs::MetricsSamplerOptions{options.sampler_window, 0.0}) {
-  require<SpecError>(options_.dwell_scale >= 0.0,
-                     "dwell_scale cannot be negative");
   if (options_.workers > 0) {
     pool_ = std::make_unique<ThreadPool>(options_.workers,
                                          options_.queue_capacity);

@@ -31,12 +31,6 @@ struct EngineOptions {
   std::size_t workers = 0;
   /// Bounded task-queue capacity (backpressure threshold).
   std::size_t queue_capacity = 128;
-  /// Hardware-in-the-loop emulation: fraction of each job's simulated
-  /// instrument dwell (JobSpec::dwell) that workers really sleep,
-  /// holding the instrument's affinity lock. 0 disables sleeping (pure
-  /// compute); a real deployment replaces the sleep with the actual
-  /// potentiostat hold. Affects timing only, never results.
-  double dwell_scale = 0.0;
   /// Capacity of the engine's simulation memoization cache
   /// (engine/sim_cache.hpp); 0 disables it. Results are byte-identical
   /// with the cache on or off — it only skips recomputing deterministic
@@ -70,7 +64,6 @@ class Engine {
   [[nodiscard]] std::size_t worker_count() const {
     return pool_ ? pool_->worker_count() : 0;
   }
-  [[nodiscard]] double dwell_scale() const { return options_.dwell_scale; }
 
   /// Null when the engine is serial (workers == 0).
   [[nodiscard]] ThreadPool* pool() { return pool_.get(); }

@@ -61,10 +61,7 @@ struct JobSpec {
   JobKind kind = JobKind::kCustom;
   JobBody body;
   /// Simulated instrument occupancy per attempt (electrode hold +
-  /// settling). When the engine emulates hardware (dwell_scale > 0) the
-  /// worker sleeps dwell * scale, modeling a measurement that holds a
-  /// channel while the CPU idles — the resource parallel scheduling
-  /// actually overlaps.
+  /// settling); summed into JobReport::simulated_dwell, never slept.
   Time dwell = Time::seconds(0.0);
   /// Jobs sharing an affinity key are serialized: they contend for one
   /// physical instrument (the chip's five working electrodes share a

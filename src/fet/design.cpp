@@ -42,7 +42,7 @@ std::pair<double, double> measure_model(const DeviceParams& p,
   }
   const analysis::CalibrationEngine engine;
   const analysis::CalibrationResult r =
-      engine.calibrate(points, 0.0, p.channel_area, point_sigma_a);
+      engine.try_calibrate(points, 0.0, p.channel_area, point_sigma_a).value();
   return {r.sensitivity.raw(), r.linear_range_high.milli_molar()};
 }
 
@@ -59,8 +59,7 @@ double measured_blank_sigma(const DeviceParams& p, std::string_view target) {
   responses.reserve(kRepeats);
   for (std::size_t i = 0; i < kRepeats; ++i) {
     responses.push_back(
-        transducer->try_transduce(blank, rng, nullptr).value_or_throw()
-            .response_a);
+        transducer->try_transduce(blank, rng, nullptr).value().response_a);
   }
   return analysis::blank_sigma(responses);
 }

@@ -18,7 +18,7 @@ FetTransducer::FetTransducer(DeviceParams params, std::string name,
       name_(std::move(name)),
       target_(std::move(target)) {
   require<SpecError>(!target_.empty(), "fet transducer needs a target");
-  params_.try_validate().value_or_throw();
+  params_.try_validate().value();
 }
 
 readout::NoiseSpec FetTransducer::noise_spec() const {

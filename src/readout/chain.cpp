@@ -8,9 +8,6 @@
 
 namespace biosens::readout {
 
-SignalChain::SignalChain(ChainConfig config)
-    : SignalChain(try_create(std::move(config)).value_or_throw()) {}
-
 Expected<SignalChain> SignalChain::try_create(ChainConfig config) {
   BIOSENS_EXPECT(config.smoothing_window >= 1, ErrorCode::kSpec,
                  Layer::kReadout, "chain config",
@@ -19,12 +16,6 @@ Expected<SignalChain> SignalChain::try_create(ChainConfig config) {
 }
 
 Current SignalChain::full_scale() const { return config_.tia.full_scale(); }
-
-electrochem::TimeSeries SignalChain::acquire(
-    const electrochem::TimeSeries& ideal, const NoiseSpec& noise,
-    Rng& rng) const {
-  return try_acquire(ideal, noise, rng).value_or_throw();
-}
 
 Expected<electrochem::TimeSeries> SignalChain::try_acquire(
     const electrochem::TimeSeries& ideal, const NoiseSpec& noise,
@@ -58,12 +49,6 @@ Expected<electrochem::TimeSeries> SignalChain::try_acquire(
     out.current_a.push_back(smooth.push(q.volts() / gain));
   }
   return out;
-}
-
-electrochem::Voltammogram SignalChain::acquire(
-    const electrochem::Voltammogram& ideal, const NoiseSpec& noise,
-    Rng& rng) const {
-  return try_acquire(ideal, noise, rng).value_or_throw();
 }
 
 Expected<electrochem::Voltammogram> SignalChain::try_acquire(
@@ -106,10 +91,6 @@ double SignalChain::measurement_noise_rms_a(const NoiseSpec& noise,
       config_.adc.lsb().volts() / config_.tia.feedback().ohms();
   const double quant = lsb_current / std::sqrt(12.0);
   return std::sqrt(lf * lf + white * white + quant * quant);
-}
-
-ChainConfig SignalChain::for_full_scale(Current max_expected) {
-  return try_for_full_scale(max_expected).value_or_throw();
 }
 
 Expected<ChainConfig> SignalChain::try_for_full_scale(Current max_expected) {

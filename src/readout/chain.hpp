@@ -29,35 +29,21 @@ struct ChainConfig {
 /// One acquisition channel.
 class SignalChain {
  public:
-  /// Throwing shim over try_create() (public convenience boundary).
-  explicit SignalChain(ChainConfig config);
-
   /// Validates the configuration and builds the chain; a readout-layer
   /// spec error for a degenerate smoothing window.
   [[nodiscard]] static Expected<SignalChain> try_create(ChainConfig config);
 
   /// Digitizes a current-vs-time trace. The ideal currents are corrupted
   /// with the given noise, amplified, band-limited, quantized, smoothed,
-  /// and referred back to the input as reconstructed currents.
-  /// Throwing shim over try_acquire().
-  [[nodiscard]] electrochem::TimeSeries acquire(
-      const electrochem::TimeSeries& ideal, const NoiseSpec& noise,
-      Rng& rng) const;
-
-  /// Expected-returning counterpart of acquire(): short, non-uniform, or
-  /// desynchronized traces come back as readout-layer analysis errors.
+  /// and referred back to the input as reconstructed currents. Short,
+  /// non-uniform, or desynchronized traces come back as readout-layer
+  /// analysis errors.
   [[nodiscard]] Expected<electrochem::TimeSeries> try_acquire(
       const electrochem::TimeSeries& ideal, const NoiseSpec& noise,
       Rng& rng) const;
 
   /// Digitizes a voltammogram (per-point, no band-limiting — sweeps are
-  /// slow relative to the chain bandwidth). Throwing shim over
-  /// try_acquire().
-  [[nodiscard]] electrochem::Voltammogram acquire(
-      const electrochem::Voltammogram& ideal, const NoiseSpec& noise,
-      Rng& rng) const;
-
-  /// Expected-returning counterpart of the voltammogram acquire().
+  /// slow relative to the chain bandwidth).
   [[nodiscard]] Expected<electrochem::Voltammogram> try_acquire(
       const electrochem::Voltammogram& ideal, const NoiseSpec& noise,
       Rng& rng) const;
@@ -74,11 +60,8 @@ class SignalChain {
   [[nodiscard]] const ChainConfig& config() const { return config_; }
 
   /// Picks a decade transimpedance gain (10 kohm .. 100 Mohm) such that
-  /// `max_expected` lands near 60% of full scale, with default ADC.
-  /// Throwing shim over try_for_full_scale().
-  [[nodiscard]] static ChainConfig for_full_scale(Current max_expected);
-
-  /// Expected-returning counterpart of for_full_scale().
+  /// `max_expected` lands near 60% of full scale, with default ADC; a
+  /// readout-layer spec error unless `max_expected` is positive.
   [[nodiscard]] static Expected<ChainConfig> try_for_full_scale(
       Current max_expected);
 

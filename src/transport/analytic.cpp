@@ -9,12 +9,6 @@
 
 namespace biosens::transport {
 
-CurrentDensity cottrell_current_density(int electrons, Diffusivity d,
-                                        Concentration bulk, Time t) {
-  return try_cottrell_current_density(electrons, d, bulk, t)
-      .value_or_throw();
-}
-
 Expected<CurrentDensity> try_cottrell_current_density(int electrons,
                                                       Diffusivity d,
                                                       Concentration bulk,
@@ -26,12 +20,6 @@ Expected<CurrentDensity> try_cottrell_current_density(int electrons,
   const double j = electrons * constants::kFaraday * bulk.milli_molar() *
                    std::sqrt(d.m2_per_s() / (std::numbers::pi * t.seconds()));
   return CurrentDensity::amps_per_m2(j);
-}
-
-CurrentDensity limiting_current_density(int electrons, Diffusivity d,
-                                        Concentration bulk, double delta_m) {
-  return try_limiting_current_density(electrons, d, bulk, delta_m)
-      .value_or_throw();
 }
 
 Expected<CurrentDensity> try_limiting_current_density(int electrons,

@@ -17,27 +17,16 @@ namespace biosens::transport {
 /// @param d         diffusion coefficient of the electroactive species
 /// @param bulk      bulk concentration
 /// @param t         time since the step; must be > 0
-/// Throwing shim over try_cottrell_current_density().
-[[nodiscard]] CurrentDensity cottrell_current_density(int electrons,
-                                                      Diffusivity d,
-                                                      Concentration bulk,
-                                                      Time t);
-
-/// Expected-returning counterpart of cottrell_current_density(): the
-/// t = 0 singularity is a transport-layer numerics error, a non-positive
+///
+/// The t = 0 singularity is a transport-layer numerics error, a non-positive
 /// electron count a spec error.
 [[nodiscard]] Expected<CurrentDensity> try_cottrell_current_density(
     int electrons, Diffusivity d, Concentration bulk, Time t);
 
 /// Steady-state diffusion-limited current density across a Nernst
-/// diffusion layer of thickness delta: j = n*F*D*c/delta.
-/// Throwing shim over try_limiting_current_density().
-[[nodiscard]] CurrentDensity limiting_current_density(int electrons,
-                                                      Diffusivity d,
-                                                      Concentration bulk,
-                                                      double delta_m);
-
-/// Expected-returning counterpart of limiting_current_density().
+/// diffusion layer of thickness delta: j = n*F*D*c/delta. A non-
+/// positive thickness is a transport-layer numerics error, a non-positive
+/// electron count a spec error.
 [[nodiscard]] Expected<CurrentDensity> try_limiting_current_density(
     int electrons, Diffusivity d, Concentration bulk, double delta_m);
 

@@ -30,7 +30,7 @@ TEST(Calibration, RecoversSlopeOfPureLine) {
     pts.push_back({Concentration::milli_molar(c), 2e-6 * c});
   }
   const CalibrationEngine engine;
-  const CalibrationResult r = engine.calibrate(pts, 1e-9, kArea);
+  const CalibrationResult r = engine.try_calibrate(pts, 1e-9, kArea).value();
   EXPECT_NEAR(r.fit.slope, 2e-6, 1e-12);
   EXPECT_EQ(r.points_in_linear_region, 5u);
   EXPECT_FALSE(r.saturation_observed);
@@ -45,7 +45,7 @@ TEST(Calibration, DetectsSaturationOnset) {
                                     0.75, 1.0,   1.5,  2.0,   3.0};
   const auto pts = mm_points(1e-6, 19.0, grid);
   const CalibrationEngine engine;
-  const CalibrationResult r = engine.calibrate(pts, 0.0, kArea);
+  const CalibrationResult r = engine.try_calibrate(pts, 0.0, kArea).value();
   EXPECT_TRUE(r.saturation_observed);
   EXPECT_LE(r.linear_range_high.milli_molar(), 2.0);
   EXPECT_GE(r.linear_range_high.milli_molar(), 1.0);
@@ -55,7 +55,7 @@ TEST(Calibration, DeepSaturationCutsEarly) {
   const std::vector<double> grid = {0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0};
   const auto pts = mm_points(1e-6, 1.0, grid);  // Km = 1: curls over fast
   const CalibrationEngine engine;
-  const CalibrationResult r = engine.calibrate(pts, 0.0, kArea);
+  const CalibrationResult r = engine.try_calibrate(pts, 0.0, kArea).value();
   EXPECT_TRUE(r.saturation_observed);
   EXPECT_LE(r.linear_range_high.milli_molar(), 2.0);
 }
@@ -66,7 +66,7 @@ TEST(Calibration, LodIsThreeSigmaOverSlope) {
     pts.push_back({Concentration::milli_molar(c), 1e-6 * c});
   }
   const CalibrationEngine engine;
-  const CalibrationResult r = engine.calibrate(pts, 2e-9, kArea);
+  const CalibrationResult r = engine.try_calibrate(pts, 2e-9, kArea).value();
   EXPECT_NEAR(r.lod.milli_molar(), 3.0 * 2e-9 / 1e-6, 1e-12);
   EXPECT_NEAR(r.loq.milli_molar(), 10.0 * 2e-9 / 1e-6, 1e-12);
   EXPECT_DOUBLE_EQ(r.blank_sigma_a, 2e-9);
@@ -84,9 +84,10 @@ TEST(Calibration, NoiseAllowanceKeepsJitteredPoints) {
     pts.push_back({Concentration::milli_molar(c), y});
   }
   const CalibrationEngine engine;
-  const CalibrationResult strict = engine.calibrate(pts, sigma, kArea, 0.0);
+  const CalibrationResult strict =
+      engine.try_calibrate(pts, sigma, kArea, 0.0).value();
   const CalibrationResult tolerant =
-      engine.calibrate(pts, sigma, kArea, sigma);
+      engine.try_calibrate(pts, sigma, kArea, sigma).value();
   EXPECT_TRUE(strict.saturation_observed);
   EXPECT_DOUBLE_EQ(strict.linear_range_high.milli_molar(), 1.5);
   EXPECT_FALSE(tolerant.saturation_observed);
@@ -103,7 +104,8 @@ TEST(Calibration, SingleOutlierDoesNotTruncateRange) {
     pts.push_back({Concentration::milli_molar(c), y});
   }
   const CalibrationEngine engine;
-  const CalibrationResult r = engine.calibrate(pts, sigma, kArea, 0.0);
+  const CalibrationResult r =
+      engine.try_calibrate(pts, sigma, kArea, 0.0).value();
   EXPECT_FALSE(r.saturation_observed);
   EXPECT_DOUBLE_EQ(r.linear_range_high.milli_molar(), 2.5);
 }
@@ -114,7 +116,7 @@ TEST(Calibration, ReportsRangeLowAsLowestLevel) {
     pts.push_back({Concentration::milli_molar(c), 1e-6 * c});
   }
   const CalibrationEngine engine;
-  const CalibrationResult r = engine.calibrate(pts, 1e-9, kArea);
+  const CalibrationResult r = engine.try_calibrate(pts, 1e-9, kArea).value();
   EXPECT_DOUBLE_EQ(r.linear_range_low.milli_molar(), 0.2);
 }
 
@@ -124,7 +126,7 @@ TEST(Calibration, UnsortedInputHandled) {
     pts.push_back({Concentration::milli_molar(c), 3e-6 * c});
   }
   const CalibrationEngine engine;
-  const CalibrationResult r = engine.calibrate(pts, 1e-9, kArea);
+  const CalibrationResult r = engine.try_calibrate(pts, 1e-9, kArea).value();
   EXPECT_NEAR(r.fit.slope, 3e-6, 1e-12);
   EXPECT_EQ(r.points_in_linear_region, 5u);
 }
@@ -135,7 +137,9 @@ TEST(Calibration, RejectsDeadSensor) {
     pts.push_back({Concentration::milli_molar(c), 0.0});
   }
   const CalibrationEngine engine;
-  EXPECT_THROW(engine.calibrate(pts, 1e-9, kArea), AnalysisError);
+  const auto dead = engine.try_calibrate(pts, 1e-9, kArea);
+  ASSERT_FALSE(dead.has_value());
+  EXPECT_EQ(dead.error().code, ErrorCode::kAnalysis);
 }
 
 TEST(Calibration, RejectsTooFewPoints) {
@@ -143,7 +147,16 @@ TEST(Calibration, RejectsTooFewPoints) {
       {Concentration::milli_molar(0.0), 0.0},
       {Concentration::milli_molar(1.0), 1e-6}};
   const CalibrationEngine engine;
-  EXPECT_THROW(engine.calibrate(pts, 1e-9, kArea), AnalysisError);
+  const auto too_few = engine.try_calibrate(pts, 1e-9, kArea);
+  ASSERT_FALSE(too_few.has_value());
+  EXPECT_EQ(too_few.error().code, ErrorCode::kAnalysis);
+
+  // Six points, but all at one concentration: no line through the seed.
+  const std::vector<CalibrationPoint> one_level(
+      6, {Concentration::milli_molar(0.5), 1e-6});
+  const auto single_level = engine.try_calibrate(one_level, 1e-9, kArea);
+  ASSERT_FALSE(single_level.has_value());
+  EXPECT_EQ(single_level.error().code, ErrorCode::kAnalysis);
 }
 
 TEST(Calibration, OptionsValidated) {
@@ -174,7 +187,7 @@ TEST_P(RangeTracksKm, DetectedRangeScalesWithKm) {
   for (int i = 0; i <= 24; ++i) grid.push_back(0.025 * km * i);
   const auto pts = mm_points(1e-6, km, grid);
   const CalibrationEngine engine;
-  const CalibrationResult r = engine.calibrate(pts, 0.0, kArea);
+  const CalibrationResult r = engine.try_calibrate(pts, 0.0, kArea).value();
   EXPECT_TRUE(r.saturation_observed);
   const double five_pct = km / 19.0;
   EXPECT_GT(r.linear_range_high.milli_molar(), five_pct);

@@ -37,7 +37,7 @@ measured_catalog() {
       std::vector<double> sens, range, lod;
       for (std::uint64_t seed : {11u, 22u, 33u}) {
         Rng rng(seed);
-        const auto outcome = protocol.run(sensor, series, rng);
+        const auto outcome = protocol.try_run(sensor, series, rng).value();
         sens.push_back(
             outcome.result.sensitivity.micro_amp_per_milli_molar_cm2());
         range.push_back(outcome.result.linear_range_high.milli_molar());
@@ -182,7 +182,7 @@ TEST(Catalog, ExtendedTableFetRowsReproducePublishedFigures) {
     std::vector<double> sens, lod;
     for (std::uint64_t seed : {11u, 22u, 33u}) {
       Rng rng(seed);
-      const auto outcome = protocol.run(sensor, series, rng);
+      const auto outcome = protocol.try_run(sensor, series, rng).value();
       sens.push_back(
           outcome.result.sensitivity.micro_amp_per_milli_molar_cm2());
       lod.push_back(outcome.result.lod.micro_molar());
@@ -224,10 +224,13 @@ TEST(Catalog, PlatformUsesThePaperHardware) {
 }
 
 TEST(Catalog, LookupByQualifiedName) {
-  EXPECT_NO_THROW(entry_or_throw("MWCNT/Nafion + GOD (this work)"));
-  EXPECT_NO_THROW(entry_or_throw("MWCNT/Nafion + GOD [49]"));
-  EXPECT_NO_THROW(entry_or_throw("CNT mat + GOD"));
-  EXPECT_THROW(entry_or_throw("nonexistent device"), SpecError);
+  for (const char* name : {"MWCNT/Nafion + GOD (this work)",
+                           "MWCNT/Nafion + GOD [49]", "CNT mat + GOD"}) {
+    EXPECT_TRUE(try_entry(name).has_value()) << name;
+  }
+  const auto missing = try_entry("nonexistent device");
+  ASSERT_FALSE(missing.has_value());
+  EXPECT_EQ(missing.error().code, ErrorCode::kSpec);
 }
 
 }  // namespace

@@ -16,12 +16,12 @@ electrode::EffectiveLayer glucose_layer() {
   electrode::Assembly a;
   a.geometry = electrode::microfabricated_gold();
   a.modification = electrode::mwcnt_nafion();
-  a.immobilization = electrode::immobilization_defaults(
-      electrode::ImmobilizationMethod::kAdsorption);
-  a.enzyme = chem::enzyme_or_throw("GOD");
+  a.immobilization = electrode::try_immobilization_defaults(
+      electrode::ImmobilizationMethod::kAdsorption).value();
+  a.enzyme = *chem::try_enzyme("GOD").value();
   a.substrate = "glucose";
   a.loading_monolayers = 0.5;
-  return electrode::synthesize(a);
+  return electrode::try_synthesize(a).value();
 }
 
 TEST(Cell, SubstrateBulkComesFromSample) {
@@ -45,9 +45,9 @@ TEST(Cell, InterferentCurrentGatedByPotential) {
                   chem::serum_sample("glucose",
                                      Concentration::milli_molar(5.0)));
   const double below =
-      cell.interferent_current(Potential::millivolts(0.0)).amps();
+      cell.try_interferent_current(Potential::millivolts(0.0)).value().amps();
   const double above =
-      cell.interferent_current(Potential::millivolts(650.0)).amps();
+      cell.try_interferent_current(Potential::millivolts(650.0)).value().amps();
   EXPECT_LT(below, 0.05 * above);
   EXPECT_GT(above, 0.0);
 }
@@ -56,8 +56,10 @@ TEST(Cell, CleanBufferHasNoInterferentCurrent) {
   const Cell cell(glucose_layer(),
                   chem::calibration_sample(
                       "glucose", Concentration::milli_molar(5.0)));
-  EXPECT_DOUBLE_EQ(
-      cell.interferent_current(Potential::millivolts(650.0)).amps(), 0.0);
+  EXPECT_DOUBLE_EQ(cell.try_interferent_current(Potential::millivolts(650.0))
+                       .value()
+                       .amps(),
+                   0.0);
 }
 
 TEST(Cell, PermselectiveFilmSuppressesInterferents) {
@@ -65,21 +67,25 @@ TEST(Cell, PermselectiveFilmSuppressesInterferents) {
   electrode::Assembly bare_assembly;
   bare_assembly.geometry = electrode::microfabricated_gold();
   bare_assembly.modification = electrode::bare_surface();
-  bare_assembly.immobilization = electrode::immobilization_defaults(
-      electrode::ImmobilizationMethod::kAdsorption);
-  bare_assembly.enzyme = chem::enzyme_or_throw("GOD");
+  bare_assembly.immobilization = electrode::try_immobilization_defaults(
+      electrode::ImmobilizationMethod::kAdsorption).value();
+  bare_assembly.enzyme = *chem::try_enzyme("GOD").value();
   bare_assembly.substrate = "glucose";
   bare_assembly.loading_monolayers = 0.5;
 
   const chem::Sample serum =
       chem::serum_sample("glucose", Concentration::milli_molar(5.0));
   const Cell nafion_cell(glucose_layer(), serum);
-  const Cell bare_cell(electrode::synthesize(bare_assembly), serum);
+  const Cell bare_cell(electrode::try_synthesize(bare_assembly).value(), serum);
 
   const double nafion =
-      nafion_cell.interferent_current(Potential::millivolts(650.0)).amps();
+      nafion_cell.try_interferent_current(Potential::millivolts(650.0))
+          .value()
+          .amps();
   const double bare =
-      bare_cell.interferent_current(Potential::millivolts(650.0)).amps();
+      bare_cell.try_interferent_current(Potential::millivolts(650.0))
+          .value()
+          .amps();
   EXPECT_NEAR(nafion / bare, 0.10, 0.02);  // Nafion transmission
 }
 

@@ -16,12 +16,12 @@ electrode::EffectiveLayer glucose_layer(double loading = 0.05) {
   electrode::Assembly a;
   a.geometry = electrode::microfabricated_gold();
   a.modification = electrode::mwcnt_nafion();
-  a.immobilization = electrode::immobilization_defaults(
-      electrode::ImmobilizationMethod::kAdsorption);
-  a.enzyme = chem::enzyme_or_throw("GOD");
+  a.immobilization = electrode::try_immobilization_defaults(
+      electrode::ImmobilizationMethod::kAdsorption).value();
+  a.enzyme = *chem::try_enzyme("GOD").value();
   a.substrate = "glucose";
   a.loading_monolayers = loading;
-  return electrode::synthesize(a);
+  return electrode::try_synthesize(a).value();
 }
 
 ChronoamperometrySim make_sim(Concentration glucose,
@@ -33,7 +33,7 @@ ChronoamperometrySim make_sim(Concentration glucose,
 }
 
 TEST(Chrono, BlankGivesNearZeroSteadyState) {
-  const Current ss = make_sim(Concentration{}).steady_state();
+  const Current ss = make_sim(Concentration{}).try_steady_state().value();
   EXPECT_NEAR(ss.amps(), 0.0, 1e-12);
 }
 
@@ -42,7 +42,8 @@ TEST(Chrono, SteadyStateMatchesAnalyticBalance) {
   // D (cb - c0)/delta = Gamma k_cat c0 / (Km + c0).
   const electrode::EffectiveLayer layer = glucose_layer();
   const double cb = 0.5;  // mM
-  const Current ss = make_sim(Concentration::milli_molar(cb)).steady_state();
+  const Current ss =
+      make_sim(Concentration::milli_molar(cb)).try_steady_state().value();
 
   const double d = layer.substrate_diffusivity.m2_per_s();
   const double delta = 25e-6;
@@ -61,23 +62,25 @@ TEST(Chrono, SteadyStateMatchesAnalyticBalance) {
 
 TEST(Chrono, TransientDecaysToSteadyState) {
   const TimeSeries trace =
-      make_sim(Concentration::milli_molar(1.0)).run();
+      make_sim(Concentration::milli_molar(1.0)).try_run().value();
   ASSERT_GT(trace.size(), 100u);
   // The initial capacitive + depletion transient exceeds the tail.
   const double early = trace.current_a[2];
-  const double late = trace.tail_mean_a(0.1);
+  const double late = trace.try_tail_mean_a(0.1).value();
   EXPECT_GT(early, late);
   // Tail is flat: last two deciles agree within 1%.
-  const double d9 = trace.tail_mean_a(0.1);
-  const double d8 = trace.tail_mean_a(0.2);
+  const double d9 = trace.try_tail_mean_a(0.1).value();
+  const double d8 = trace.try_tail_mean_a(0.2).value();
   EXPECT_NEAR(d9, d8, 0.01 * std::abs(d8));
 }
 
 TEST(Chrono, ResponseIsMonotoneInConcentration) {
   double prev = -1.0;
   for (double c : {0.0, 0.1, 0.25, 0.5, 1.0, 2.0}) {
-    const double ss =
-        make_sim(Concentration::milli_molar(c)).steady_state().amps();
+    const double ss = make_sim(Concentration::milli_molar(c))
+                          .try_steady_state()
+                          .value()
+                          .amps();
     EXPECT_GT(ss, prev) << "at c = " << c;
     prev = ss;
   }
@@ -88,10 +91,14 @@ TEST(Chrono, SaturatesAboveKm) {
   // current.
   const electrode::EffectiveLayer layer = glucose_layer();
   const double km = layer.k_m_app.milli_molar();
-  const double s1 =
-      make_sim(Concentration::milli_molar(20.0 * km)).steady_state().amps();
-  const double s2 =
-      make_sim(Concentration::milli_molar(40.0 * km)).steady_state().amps();
+  const double s1 = make_sim(Concentration::milli_molar(20.0 * km))
+                        .try_steady_state()
+                        .value()
+                        .amps();
+  const double s2 = make_sim(Concentration::milli_molar(40.0 * km))
+                        .try_steady_state()
+                        .value()
+                        .amps();
   EXPECT_LT(s2 / s1, 1.05);
 }
 
@@ -106,11 +113,11 @@ TEST(Chrono, InterferentsAddBackground) {
              Hydrodynamics{true, 400.0});
   const double clean_ss =
       ChronoamperometrySim(std::move(clean), standard_oxidase_step())
-          .steady_state()
+          .try_steady_state().value()
           .amps();
   const double serum_ss =
       ChronoamperometrySim(std::move(serum), standard_oxidase_step())
-          .steady_state()
+          .try_steady_state().value()
           .amps();
   EXPECT_GT(serum_ss, clean_ss);
 }
@@ -137,11 +144,13 @@ class ChronoLoading : public ::testing::TestWithParam<double> {};
 
 TEST_P(ChronoLoading, KineticRegimeLinearInLoading) {
   const double loading = GetParam();
-  const double base =
-      make_sim(Concentration::milli_molar(0.1), 0.01).steady_state().amps();
+  const double base = make_sim(Concentration::milli_molar(0.1), 0.01)
+                          .try_steady_state()
+                          .value()
+                          .amps();
   const double scaled =
       make_sim(Concentration::milli_molar(0.1), 0.01 * loading)
-          .steady_state()
+          .try_steady_state().value()
           .amps();
   EXPECT_NEAR(scaled / base, loading, 0.1 * loading);
 }

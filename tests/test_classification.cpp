@@ -13,7 +13,7 @@ TEST(Classification, PlatformGlucoseSensorMatchesSection3) {
   // electrochemical (amperometric) / Nanotechnology-based: carbon
   // nanotubes / Electrode type: integrated (microfabricated)".
   const Classification c = classify_spec(
-      entry_or_throw("MWCNT/Nafion + GOD (this work)").spec);
+      try_entry("MWCNT/Nafion + GOD (this work)").value().spec);
   EXPECT_EQ(c.target, classify::TargetClass::kMetabolite);
   EXPECT_EQ(c.element, classify::SensingElement::kEnzyme);
   EXPECT_EQ(c.transduction, classify::Transduction::kAmperometric);
@@ -24,7 +24,7 @@ TEST(Classification, PlatformGlucoseSensorMatchesSection3) {
 
 TEST(Classification, CypSensorIsADisposableDrugSensor) {
   const Classification c = classify_spec(
-      entry_or_throw("MWCNT + CYP (cyclophosphamide)").spec);
+      try_entry("MWCNT + CYP (cyclophosphamide)").value().spec);
   EXPECT_EQ(c.target, classify::TargetClass::kDrug);
   EXPECT_EQ(c.nanomaterial, classify::Nanomaterial::kCarbonNanotube);
   EXPECT_EQ(c.electrode, classify::ElectrodeTechnology::kDisposable);
@@ -32,13 +32,13 @@ TEST(Classification, CypSensorIsADisposableDrugSensor) {
 
 TEST(Classification, TitanateComparatorIsNotCarbon) {
   const Classification c =
-      classify_spec(entry_or_throw("Titanate NT + LOD").spec);
+      classify_spec(try_entry("Titanate NT + LOD").value().spec);
   EXPECT_EQ(c.nanomaterial, classify::Nanomaterial::kOtherNanotube);
 }
 
 TEST(Classification, NafionOnlyComparatorHasNoNanomaterial) {
   const Classification c =
-      classify_spec(entry_or_throw("Nafion + GlOD").spec);
+      classify_spec(try_entry("Nafion + GlOD").value().spec);
   EXPECT_EQ(c.nanomaterial, classify::Nanomaterial::kNone);
   EXPECT_EQ(c.electrode, classify::ElectrodeTechnology::kMicrofabricated);
 }
@@ -46,13 +46,13 @@ TEST(Classification, NafionOnlyComparatorHasNoNanomaterial) {
 class UnmixedPlatformFixture : public ::testing::Test {
  protected:
   UnmixedPlatformFixture() {
-    panel_.add_sensor(entry_or_throw("MWCNT + CYP (cyclophosphamide)"));
-    panel_.add_sensor(entry_or_throw("MWCNT + CYP (ifosfamide)"));
+    panel_.add_sensor(try_entry("MWCNT + CYP (cyclophosphamide)").value());
+    panel_.add_sensor(try_entry("MWCNT + CYP (ifosfamide)").value());
     Rng rng(31);
     ProtocolOptions options;
     options.blank_repeats = 8;
     options.replicates = 1;
-    panel_.calibrate_all(rng, options);
+    panel_.try_calibrate_all(rng, options).value();
   }
   Platform panel_;
 };
@@ -63,39 +63,43 @@ TEST_F(UnmixedPlatformFixture, UnmixedAssayRemovesCrossTalk) {
   cocktail.set("ifosfamide", Concentration::micro_molar(100.0));
 
   Rng rng_naive(7), rng_unmixed(7);
-  const PanelReport naive = panel_.assay(cocktail, rng_naive);
+  const PanelReport naive = panel_.try_assay(cocktail, rng_naive).value();
   const PanelReport unmixed = panel_.assay_unmixed(cocktail, rng_unmixed);
 
   // Naive CP over-reports (ifosfamide cross-talk); unmixed recovers.
-  EXPECT_GT(naive.for_target("cyclophosphamide").estimated.micro_molar(),
+  EXPECT_GT(naive.try_for_target("cyclophosphamide")
+                .value()
+                ->estimated.micro_molar(),
             36.0);
+  EXPECT_NEAR(unmixed.try_for_target("cyclophosphamide")
+                  .value()
+                  ->estimated.micro_molar(),
+              30.0, 4.0);
   EXPECT_NEAR(
-      unmixed.for_target("cyclophosphamide").estimated.micro_molar(),
-      30.0, 4.0);
-  EXPECT_NEAR(unmixed.for_target("ifosfamide").estimated.micro_molar(),
-              100.0, 8.0);
+      unmixed.try_for_target("ifosfamide").value()->estimated.micro_molar(),
+      100.0, 8.0);
 }
 
 TEST_F(UnmixedPlatformFixture, QcRidesAlongWithAssays) {
   chem::Sample sample = chem::blank_sample();
   sample.set("cyclophosphamide", Concentration::micro_molar(40.0));
   Rng rng(9);
-  const PanelReport report = panel_.assay(sample, rng);
-  EXPECT_TRUE(report.for_target("cyclophosphamide").qc.accepted)
-      << report.for_target("cyclophosphamide").qc.summary;
+  const PanelReport report = panel_.try_assay(sample, rng).value();
+  EXPECT_TRUE(report.try_for_target("cyclophosphamide").value()->qc.accepted)
+      << report.try_for_target("cyclophosphamide").value()->qc.summary;
   // The drug-free channel flags "no response".
-  EXPECT_FALSE(report.for_target("ifosfamide").qc.accepted);
+  EXPECT_FALSE(report.try_for_target("ifosfamide").value()->qc.accepted);
 }
 
 TEST(UnmixedPlatform, DegeneratePanelIsRefused) {
   Platform profens;
-  profens.add_sensor(entry_or_throw("MWCNT + CYP (naproxen)"));
-  profens.add_sensor(entry_or_throw("MWCNT + CYP (flurbiprofen)"));
+  profens.add_sensor(try_entry("MWCNT + CYP (naproxen)").value());
+  profens.add_sensor(try_entry("MWCNT + CYP (flurbiprofen)").value());
   Rng rng(3);
   ProtocolOptions options;
   options.blank_repeats = 8;
   options.replicates = 1;
-  profens.calibrate_all(rng, options);
+  profens.try_calibrate_all(rng, options).value();
   EXPECT_THROW(profens.assay_unmixed(chem::blank_sample(), rng),
                AnalysisError);
 }

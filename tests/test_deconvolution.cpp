@@ -15,8 +15,8 @@ namespace {
 class PanelFixture : public ::testing::Test {
  protected:
   PanelFixture()
-      : cp_(entry_or_throw("MWCNT + CYP (cyclophosphamide)").spec),
-        ifos_(entry_or_throw("MWCNT + CYP (ifosfamide)").spec),
+      : cp_(try_entry("MWCNT + CYP (cyclophosphamide)").value().spec),
+        ifos_(try_entry("MWCNT + CYP (ifosfamide)").value().spec),
         model_(characterize_panel(
             {&cp_, &ifos_},
             {Concentration::micro_molar(40.0),

@@ -19,9 +19,9 @@ SensorSpec base_oxidase_spec() {
   spec.technique = Technique::kChronoamperometry;
   spec.assembly.geometry = electrode::microfabricated_gold();
   spec.assembly.modification = electrode::mwcnt_nafion();
-  spec.assembly.immobilization = electrode::immobilization_defaults(
-      electrode::ImmobilizationMethod::kAdsorption);
-  spec.assembly.enzyme = chem::enzyme_or_throw("GOD");
+  spec.assembly.immobilization = electrode::try_immobilization_defaults(
+      electrode::ImmobilizationMethod::kAdsorption).value();
+  spec.assembly.enzyme = *chem::try_enzyme("GOD").value();
   spec.assembly.substrate = "glucose";
   spec.assembly.loading_monolayers = 1.0;
   return spec;
@@ -35,9 +35,9 @@ SensorSpec base_cyp_spec() {
   spec.technique = Technique::kCyclicVoltammetry;
   spec.assembly.geometry = electrode::screen_printed_electrode();
   spec.assembly.modification = electrode::mwcnt_chloroform();
-  spec.assembly.immobilization = electrode::immobilization_defaults(
-      electrode::ImmobilizationMethod::kAdsorption);
-  spec.assembly.enzyme = chem::enzyme_or_throw("CYP2B6");
+  spec.assembly.immobilization = electrode::try_immobilization_defaults(
+      electrode::ImmobilizationMethod::kAdsorption).value();
+  spec.assembly.enzyme = *chem::try_enzyme("CYP2B6").value();
   spec.assembly.substrate = "cyclophosphamide";
   spec.assembly.loading_monolayers = 1.0;
   return spec;
@@ -89,7 +89,7 @@ TEST(Design, SetsPhysicalKnobs) {
             spec.assembly.immobilization.max_monolayers);
   EXPECT_GT(spec.assembly.km_tuning, 0.0);
   EXPECT_GT(spec.assembly.noise_tuning, 0.0);
-  EXPECT_NO_THROW(spec.validate());
+  EXPECT_NO_THROW(spec.try_validate().value());
 }
 
 struct RoundTripCase {
@@ -108,10 +108,10 @@ TEST_P(DesignRoundTrip, MeasuredFiguresMatchTargets) {
   const BiosensorModel sensor(spec);
   const CalibrationProtocol protocol;
   Rng rng(2025);
-  const auto outcome = protocol.run(
+  const auto outcome = protocol.try_run(
       sensor,
       standard_series(Concentration{}, Concentration::milli_molar(c.hi_mm)),
-      rng);
+      rng).value();
 
   EXPECT_NEAR(outcome.result.sensitivity.micro_amp_per_milli_molar_cm2(),
               c.sens_ua, 0.10 * c.sens_ua);
@@ -135,10 +135,10 @@ TEST(Design, CypRoundTrip) {
   const BiosensorModel sensor(spec);
   const CalibrationProtocol protocol;
   Rng rng(7);
-  const auto outcome = protocol.run(
+  const auto outcome = protocol.try_run(
       sensor,
       standard_series(Concentration{}, Concentration::milli_molar(0.07)),
-      rng);
+      rng).value();
   EXPECT_NEAR(outcome.result.sensitivity.micro_amp_per_milli_molar_cm2(),
               102.0, 0.10 * 102.0);
   EXPECT_NEAR(outcome.result.linear_range_high.milli_molar(), 0.07,

@@ -12,7 +12,7 @@ namespace biosens::core {
 namespace {
 
 SensorSpec glucose_spec() {
-  return entry_or_throw("MWCNT/Nafion + GOD (this work)").spec;
+  return try_entry("MWCNT/Nafion + GOD (this work)").value().spec;
 }
 
 TEST(Differential, ReferenceChannelSharesChemistryButNotEnzyme) {
@@ -64,7 +64,8 @@ TEST(Differential, NoiseGrowsBySqrtTwoOnly) {
   std::vector<double> diff, single_ended;
   for (int i = 0; i < 30; ++i) {
     diff.push_back(pair.measure_differential_a(blank, rng_pair));
-    single_ended.push_back(single.measure(blank, rng_single).response_a);
+    single_ended.push_back(
+        single.try_measure(blank, rng_single).value().response_a);
   }
   const double ratio = sample_stddev(diff) / sample_stddev(single_ended);
   EXPECT_NEAR(ratio, std::sqrt(2.0), 0.5);
@@ -72,7 +73,7 @@ TEST(Differential, NoiseGrowsBySqrtTwoOnly) {
 
 TEST(Differential, WorksForVoltammetricSensorsToo) {
   const DifferentialSensor pair(
-      entry_or_throw("MWCNT + CYP (cyclophosphamide)").spec);
+      try_entry("MWCNT + CYP (cyclophosphamide)").value().spec);
   const chem::Sample dosed = chem::calibration_sample(
       "cyclophosphamide", Concentration::micro_molar(40.0));
   // Reference still shows the capacitive box but no heme/catalytic peak;

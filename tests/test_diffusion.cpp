@@ -28,7 +28,7 @@ TEST(Diffusion, CottrellAgreement) {
     t += dt.seconds();
     if (t > 1.0) {
       const double analytic =
-          cottrell_current_density(1, d, bulk, Time::seconds(t))
+          try_cottrell_current_density(1, d, bulk, Time::seconds(t)).value()
               .amps_per_m2() /
           96485.33212;  // back to molar flux
       EXPECT_NEAR(flux, analytic, 0.03 * analytic)

@@ -182,8 +182,8 @@ TEST(DiffusionFieldBatch, RejectsInvalidConstructionAndShapes) {
 
 Platform small_platform() {
   Platform p;
-  p.add_sensor(entry_or_throw("MWCNT/Nafion + GOD (this work)"));
-  p.add_sensor(entry_or_throw("MWCNT + CYP (cyclophosphamide)"));
+  p.add_sensor(try_entry("MWCNT/Nafion + GOD (this work)").value());
+  p.add_sensor(try_entry("MWCNT + CYP (cyclophosphamide)").value());
   return p;
 }
 
@@ -230,7 +230,7 @@ class CohortBatchingPanels : public ::testing::Test {
   void SetUp() override {
     platform_ = small_platform();
     Rng rng(2012);
-    platform_.calibrate_all(rng, quick_options());
+    platform_.try_calibrate_all(rng, quick_options()).value();
 
     // Six distinct compositions, each presented twice — duplicates must
     // collapse into one batch lane, like repeat patients in a cohort.
@@ -301,11 +301,11 @@ TEST(CohortBatchingCalibration, BatchCalibrationBytesUnchanged) {
   Platform without_batching = small_platform();
 
   engine::Engine off(engine::EngineOptions{.cohort_batching = false});
-  without_batching.calibrate_all_batch(off, 2012, quick_options());
+  without_batching.try_calibrate_all_batch(off, 2012, quick_options()).value();
   EXPECT_EQ(off.snapshot().batch_lanes, 0u);
 
   engine::Engine on(engine::EngineOptions{.workers = 4});
-  with_batching.calibrate_all_batch(on, 2012, quick_options());
+  with_batching.try_calibrate_all_batch(on, 2012, quick_options()).value();
   EXPECT_GT(on.snapshot().batch_lanes, 0u);
   EXPECT_GT(on.snapshot().batch_factorizations, 0u);
 

@@ -16,15 +16,15 @@ namespace {
 
 electrode::EffectiveLayer cyp_layer() {
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT + CYP (cyclophosphamide)");
-  return electrode::synthesize(entry.spec.assembly);
+      core::try_entry("MWCNT + CYP (cyclophosphamide)").value();
+  return electrode::try_synthesize(entry.spec.assembly).value();
 }
 
 DpvTrace trace_at(Concentration drug, DpvOptions options = {}) {
   Cell cell(cyp_layer(),
             chem::calibration_sample("cyclophosphamide", drug));
   return DifferentialPulseSim(std::move(cell), standard_cyp_dpv(), options)
-      .run();
+      .try_run().value();
 }
 
 TEST(Dpv, ShapeFactorProperties) {
@@ -51,7 +51,7 @@ TEST(Dpv, PeakSitsNearFormalPotential) {
   const auto peak = analysis::find_dpv_peak(trace);
   ASSERT_TRUE(peak.has_value());
   const double e0 =
-      chem::enzyme_or_throw("CYP2B6").formal_potential.volts();
+      chem::try_enzyme("CYP2B6").value()->formal_potential.volts();
   // Peak at E0 - amplitude/2 (midpoint of base and pulsed potentials).
   EXPECT_NEAR(peak->potential_v, e0 + 0.025, 0.02);
 }
@@ -92,7 +92,9 @@ TEST(Dpv, InterferentsPerturbOnlyTheStaircaseStart) {
                   chem::serum_sample("cyclophosphamide",
                                      Concentration::micro_molar(40.0)));
   const auto serum_trace =
-      DifferentialPulseSim(std::move(serum_cell), standard_cyp_dpv()).run();
+      DifferentialPulseSim(std::move(serum_cell), standard_cyp_dpv())
+          .try_run()
+          .value();
   const auto clean_trace = trace_at(Concentration::micro_molar(40.0));
   const auto serum_peak = analysis::find_dpv_peak(serum_trace);
   const auto clean_peak = analysis::find_dpv_peak(clean_trace);
@@ -113,14 +115,14 @@ TEST(Dpv, FlatTraceHasNoPeak) {
 
 TEST(Dpv, SensorModelRoutesDpvTechnique) {
   core::SensorSpec spec =
-      core::entry_or_throw("MWCNT + CYP (cyclophosphamide)").spec;
+      core::try_entry("MWCNT + CYP (cyclophosphamide)").value().spec;
   spec.technique = core::Technique::kDifferentialPulseVoltammetry;
   const core::BiosensorModel sensor(spec);
   Rng rng(3);
-  const core::Measurement m = sensor.measure(
+  const core::Measurement m = sensor.try_measure(
       chem::calibration_sample("cyclophosphamide",
                                Concentration::micro_molar(40.0)),
-      rng);
+      rng).value();
   EXPECT_EQ(m.technique, core::Technique::kDifferentialPulseVoltammetry);
   EXPECT_FALSE(m.dpv.empty());
   EXPECT_TRUE(m.voltammogram.empty());
@@ -132,7 +134,7 @@ TEST(Dpv, BackgroundSubtractionImprovesBlankNoise) {
   // cancels most of the low-frequency electrode background, so repeated
   // blank responses scatter much less.
   const core::CatalogEntry entry =
-      core::entry_or_throw("MWCNT + CYP (cyclophosphamide)");
+      core::try_entry("MWCNT + CYP (cyclophosphamide)").value();
   core::SensorSpec dpv_spec = entry.spec;
   dpv_spec.technique = core::Technique::kDifferentialPulseVoltammetry;
 
@@ -144,7 +146,7 @@ TEST(Dpv, BackgroundSubtractionImprovesBlankNoise) {
     std::vector<double> responses;
     for (int i = 0; i < 16; ++i) {
       responses.push_back(
-          s.measure(chem::blank_sample(), rng).response_a);
+          s.try_measure(chem::blank_sample(), rng).value().response_a);
     }
     return analysis::blank_sigma(responses);
   };

@@ -3,9 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "chem/enzyme.hpp"
-#include "common/error.hpp"
+#include "common/expected.hpp"
 #include "electrode/assembly.hpp"
 #include "electrode/geometry.hpp"
 #include "electrode/immobilization.hpp"
@@ -18,8 +19,9 @@ Assembly paper_oxidase_assembly() {
   Assembly a;
   a.geometry = microfabricated_gold();
   a.modification = mwcnt_nafion();
-  a.immobilization = immobilization_defaults(ImmobilizationMethod::kAdsorption);
-  a.enzyme = chem::enzyme_or_throw("GOD");
+  a.immobilization =
+      try_immobilization_defaults(ImmobilizationMethod::kAdsorption).value();
+  a.enzyme = *chem::try_enzyme("GOD").value();
   a.substrate = "glucose";
   a.loading_monolayers = 0.5;
   return a;
@@ -52,7 +54,7 @@ TEST(Geometry, CatalogAndReferenceOffsets) {
 
 TEST(Modification, CatalogEntriesAreValid) {
   for (const Modification& m : modification_catalog()) {
-    EXPECT_NO_THROW(m.validate()) << m.name;
+    EXPECT_NO_THROW(m.try_validate().value()) << m.name;
   }
   EXPECT_EQ(modification_catalog().size(), 13u);
 }
@@ -80,24 +82,27 @@ TEST(Modification, FindByName) {
 }
 
 TEST(Modification, ValidationRejectsOutOfRange) {
-  Modification m = mwcnt_nafion();
-  m.area_enhancement = 0.5;
-  EXPECT_THROW(m.validate(), SpecError);
-  m = mwcnt_nafion();
-  m.transfer_efficiency = 1.5;
-  EXPECT_THROW(m.validate(), SpecError);
-  m = mwcnt_nafion();
-  m.interferent_transmission = -0.1;
-  EXPECT_THROW(m.validate(), SpecError);
+  std::vector<Modification> bad(3, mwcnt_nafion());
+  bad[0].area_enhancement = 0.5;
+  bad[1].transfer_efficiency = 1.5;
+  bad[2].interferent_transmission = -0.1;
+  for (const Modification& m : bad) {
+    const auto v = m.try_validate();
+    ASSERT_FALSE(v.has_value());
+    EXPECT_EQ(v.error().code, ErrorCode::kSpec);
+  }
 }
 
 TEST(Immobilization, DefaultsAreValidAndDistinct) {
-  const auto ads = immobilization_defaults(ImmobilizationMethod::kAdsorption);
-  const auto cov = immobilization_defaults(ImmobilizationMethod::kCovalent);
-  const auto ent = immobilization_defaults(ImmobilizationMethod::kEntrapment);
-  ads.validate();
-  cov.validate();
-  ent.validate();
+  const auto ads =
+      try_immobilization_defaults(ImmobilizationMethod::kAdsorption).value();
+  const auto cov =
+      try_immobilization_defaults(ImmobilizationMethod::kCovalent).value();
+  const auto ent =
+      try_immobilization_defaults(ImmobilizationMethod::kEntrapment).value();
+  ads.try_validate().value();
+  cov.try_validate().value();
+  ent.try_validate().value();
   // Adsorption is gentle; covalent sacrifices activity for stability.
   EXPECT_GT(ads.activity_retention, cov.activity_retention);
   EXPECT_LT(cov.decay.per_second(), ads.decay.per_second());
@@ -106,7 +111,8 @@ TEST(Immobilization, DefaultsAreValidAndDistinct) {
 }
 
 TEST(Immobilization, ActivityDecaysExponentially) {
-  const auto imm = immobilization_defaults(ImmobilizationMethod::kAdsorption);
+  const auto imm =
+      try_immobilization_defaults(ImmobilizationMethod::kAdsorption).value();
   EXPECT_DOUBLE_EQ(remaining_activity(imm, Time::seconds(0.0)), 1.0);
   const double one_day = remaining_activity(imm, Time::seconds(86400.0));
   const double two_days = remaining_activity(imm, Time::seconds(172800.0));
@@ -116,7 +122,7 @@ TEST(Immobilization, ActivityDecaysExponentially) {
 
 TEST(Assembly, SynthesisBasics) {
   const Assembly a = paper_oxidase_assembly();
-  const EffectiveLayer layer = synthesize(a);
+  const EffectiveLayer layer = try_synthesize(a).value();
   EXPECT_EQ(layer.substrate, "glucose");
   EXPECT_EQ(layer.electrons, 2);
   EXPECT_GT(layer.wired_coverage.mol_per_m2(), 0.0);
@@ -129,39 +135,41 @@ TEST(Assembly, SynthesisBasics) {
 TEST(Assembly, CoverageScalesLinearlyWithLoading) {
   Assembly a = paper_oxidase_assembly();
   a.loading_monolayers = 0.5;
-  const double g1 = synthesize(a).wired_coverage.mol_per_m2();
+  const double g1 = try_synthesize(a).value().wired_coverage.mol_per_m2();
   a.loading_monolayers = 1.0;
-  const double g2 = synthesize(a).wired_coverage.mol_per_m2();
+  const double g2 = try_synthesize(a).value().wired_coverage.mol_per_m2();
   EXPECT_NEAR(g2 / g1, 2.0, 1e-12);
 }
 
 TEST(Assembly, CntModificationBoostsCoverage) {
   Assembly a = paper_oxidase_assembly();
-  const double with_cnt = synthesize(a).wired_coverage.mol_per_m2();
+  const double with_cnt = try_synthesize(a).value().wired_coverage.mol_per_m2();
   a.modification = bare_surface();
-  const double bare = synthesize(a).wired_coverage.mol_per_m2();
+  const double bare = try_synthesize(a).value().wired_coverage.mol_per_m2();
   EXPECT_GT(with_cnt / bare, 100.0);  // the ablation A1 story
 }
 
 TEST(Assembly, AgingReducesCoverage) {
   const Assembly a = paper_oxidase_assembly();
-  const double fresh = synthesize(a).wired_coverage.mol_per_m2();
-  const double aged =
-      synthesize(a, Time::seconds(30.0 * 86400.0)).wired_coverage.mol_per_m2();
+  const double fresh = try_synthesize(a).value().wired_coverage.mol_per_m2();
+  const double aged = try_synthesize(a, Time::seconds(30.0 * 86400.0))
+                           .value()
+                           .wired_coverage.mol_per_m2();
   EXPECT_LT(aged, fresh);
   EXPECT_GT(aged, 0.0);
 }
 
 TEST(Assembly, CatalyticCurrentFollowsMichaelisMenten) {
-  const EffectiveLayer layer = synthesize(paper_oxidase_assembly());
-  const Current at_km = layer.catalytic_current(layer.k_m_app);
+  const EffectiveLayer layer = try_synthesize(paper_oxidase_assembly()).value();
+  const chem::MichaelisMenten kin = layer.try_kinetics().value();
+  const Current at_km = layer.catalytic_current(kin, layer.k_m_app);
   const Current saturated =
-      layer.catalytic_current(Concentration::molar(10.0));
+      layer.catalytic_current(kin, Concentration::molar(10.0));
   EXPECT_NEAR(saturated.amps() / at_km.amps(), 2.0, 0.01);
 }
 
 TEST(Assembly, IntrinsicSensitivityMatchesDefinition) {
-  const EffectiveLayer layer = synthesize(paper_oxidase_assembly());
+  const EffectiveLayer layer = try_synthesize(paper_oxidase_assembly()).value();
   const double expected = layer.electrons * 96485.33212 *
                           layer.wired_coverage.mol_per_m2() *
                           layer.k_cat_app.per_second() /
@@ -171,21 +179,16 @@ TEST(Assembly, IntrinsicSensitivityMatchesDefinition) {
 }
 
 TEST(Assembly, ValidationCatchesBadCompositions) {
-  Assembly a = paper_oxidase_assembly();
-  a.substrate = "lactate";  // GOD cannot turn over lactate
-  EXPECT_THROW(a.validate(), SpecError);
-
-  a = paper_oxidase_assembly();
-  a.loading_monolayers = 100.0;  // beyond what adsorption supports
-  EXPECT_THROW(a.validate(), SpecError);
-
-  a = paper_oxidase_assembly();
-  a.loading_monolayers = 0.0;
-  EXPECT_THROW(a.validate(), SpecError);
-
-  a = paper_oxidase_assembly();
-  a.km_tuning = -1.0;
-  EXPECT_THROW(a.validate(), SpecError);
+  std::vector<Assembly> bad(4, paper_oxidase_assembly());
+  bad[0].substrate = "lactate";      // GOD cannot turn over lactate
+  bad[1].loading_monolayers = 100.0;  // beyond what adsorption supports
+  bad[2].loading_monolayers = 0.0;
+  bad[3].km_tuning = -1.0;
+  for (const Assembly& a : bad) {
+    const auto v = a.try_validate();
+    ASSERT_FALSE(v.has_value());
+    EXPECT_EQ(v.error().code, ErrorCode::kSpec);
+  }
 }
 
 }  // namespace

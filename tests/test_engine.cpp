@@ -324,16 +324,18 @@ TEST(BatchRunner, AffinitySerializesOneInstrument) {
 }
 
 TEST(BatchRunner, DistinctAffinityGroupsOverlap) {
-  // Four instruments, sixteen 10 ms holds: a serial schedule needs
-  // ~160 ms; four instruments in parallel need ~40 ms. Allow slack.
-  Engine engine(EngineOptions{
-      .workers = 4, .queue_capacity = 32, .dwell_scale = 1.0});
+  // Four instruments, sixteen 10 ms holds (the body sleeps while the
+  // engine holds its instrument's affinity lock): a serial schedule
+  // needs ~160 ms; four instruments in parallel need ~40 ms. Allow slack.
+  Engine engine(EngineOptions{.workers = 4, .queue_capacity = 32});
   std::vector<JobSpec> jobs(16);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     jobs[i].name = "panel-" + std::to_string(i);
     jobs[i].affinity = i % 4;
-    jobs[i].dwell = Time::milliseconds(10.0);
-    jobs[i].body = [](JobContext&) { return true; };
+    jobs[i].body = [](JobContext&) {
+      std::this_thread::sleep_for(10ms);
+      return true;
+    };
   }
   const Stopwatch watch;
   engine.run(jobs);

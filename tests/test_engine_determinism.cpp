@@ -15,8 +15,8 @@ namespace {
 
 Platform small_platform() {
   Platform p;
-  p.add_sensor(entry_or_throw("MWCNT/Nafion + GOD (this work)"));
-  p.add_sensor(entry_or_throw("MWCNT + CYP (cyclophosphamide)"));
+  p.add_sensor(try_entry("MWCNT/Nafion + GOD (this work)").value());
+  p.add_sensor(try_entry("MWCNT + CYP (cyclophosphamide)").value());
   return p;
 }
 
@@ -71,7 +71,7 @@ class EngineDeterminism : public ::testing::Test {
   void SetUp() override {
     platform_ = small_platform();
     Rng rng(2012);
-    platform_.calibrate_all(rng, quick_options());
+    platform_.try_calibrate_all(rng, quick_options()).value();
     samples_ = spiked_samples(24);
   }
 
@@ -148,11 +148,13 @@ TEST_F(EngineDeterminism, BatchReportsArriveInSampleOrder) {
 TEST(EngineCalibration, BatchCalibrationIdenticalAcrossWorkerCounts) {
   Platform serial_platform = small_platform();
   engine::Engine serial;
-  serial_platform.calibrate_all_batch(serial, 2012, quick_options());
+  serial_platform.try_calibrate_all_batch(serial, 2012, quick_options())
+      .value();
 
   Platform parallel_platform = small_platform();
   engine::Engine pool(engine::EngineOptions{.workers = 8});
-  parallel_platform.calibrate_all_batch(pool, 2012, quick_options());
+  parallel_platform.try_calibrate_all_batch(pool, 2012, quick_options())
+      .value();
 
   ASSERT_TRUE(serial_platform.calibrated());
   ASSERT_TRUE(parallel_platform.calibrated());
@@ -193,18 +195,18 @@ TEST(EngineCohorts, FixedDoseEngineOverloadMatchesSerialHelperExactly) {
 
 TEST(EngineCohorts, MonitoredCohortIdenticalAcrossWorkerCounts) {
   const CatalogEntry entry =
-      entry_or_throw("MWCNT + CYP (cyclophosphamide)");
+      try_entry("MWCNT + CYP (cyclophosphamide)").value();
   const BiosensorModel sensor(entry.spec);
   Rng cal_rng(11);
   ProtocolOptions options;
   options.blank_repeats = 8;
   options.replicates = 1;
   const CalibrationProtocol protocol(options);
-  const auto outcome = protocol.run(
+  const auto outcome = protocol.try_run(
       sensor,
       standard_series(entry.published.range_low,
                       entry.published.range_high),
-      cal_rng);
+      cal_rng).value();
   const TherapyMonitor monitor(
       sensor, outcome.result.fit.slope, outcome.result.fit.intercept,
       Concentration::micro_molar(20.0), Concentration::micro_molar(50.0),

@@ -16,8 +16,8 @@ const EnvironmentSensitivity kOxidase{Concentration::micro_molar(30.0),
                                       7.0, 1.6, 35.0};
 
 TEST(Environment, ReferenceConditionsGiveUnity) {
-  EXPECT_NEAR(relative_activity(kOxidase, reference_buffer(),
-                                air_saturated_oxygen()),
+  EXPECT_NEAR(try_relative_activity(kOxidase, reference_buffer(),
+                                    air_saturated_oxygen()).value(),
               1.0, 1e-12);
 }
 
@@ -25,19 +25,20 @@ TEST(Environment, HypoxiaSuppressesOxidases) {
   Buffer ref = reference_buffer();
   // Venous-tissue oxygen ~ 30 uM = K_M,O2: activity halves relative to
   // the O2 term, i.e. factor ~ (0.5) / (250/280).
-  const double hypoxic = relative_activity(
-      kOxidase, ref, Concentration::micro_molar(30.0));
+  const double hypoxic = try_relative_activity(
+      kOxidase, ref, Concentration::micro_molar(30.0)).value();
   EXPECT_NEAR(hypoxic, 0.5 / (250.0 / 280.0), 1e-9);
   // Anoxia kills the signal entirely.
-  EXPECT_NEAR(relative_activity(kOxidase, ref, Concentration{}), 0.0,
-              1e-12);
+  EXPECT_NEAR(
+      try_relative_activity(kOxidase, ref, Concentration{}).value(), 0.0,
+      1e-12);
 }
 
 TEST(Environment, CypIsOxygenIndependent) {
-  const Enzyme& cyp = enzyme_or_throw("CYP2B6");
+  const Enzyme& cyp = *try_enzyme("CYP2B6").value();
   EXPECT_DOUBLE_EQ(cyp.environment.oxygen_km.milli_molar(), 0.0);
-  EXPECT_NEAR(relative_activity(cyp.environment, reference_buffer(),
-                                Concentration{}),
+  EXPECT_NEAR(try_relative_activity(cyp.environment, reference_buffer(),
+                                    Concentration{}).value(),
               1.0, 1e-12);
 }
 
@@ -45,15 +46,16 @@ TEST(Environment, TemperatureFollowsArrhenius) {
   Buffer warm = reference_buffer();
   warm.temperature = Temperature::celsius(37.0);
   const double at_37 =
-      relative_activity(kOxidase, warm, air_saturated_oxygen());
+      try_relative_activity(kOxidase, warm, air_saturated_oxygen()).value();
   // Ea = 35 kJ/mol over 25->37 C is ~1.7-1.8x.
   EXPECT_GT(at_37, 1.5);
   EXPECT_LT(at_37, 2.1);
 
   Buffer cold = reference_buffer();
   cold.temperature = Temperature::celsius(10.0);
-  EXPECT_LT(relative_activity(kOxidase, cold, air_saturated_oxygen()),
-            0.6);
+  EXPECT_LT(
+      try_relative_activity(kOxidase, cold, air_saturated_oxygen()).value(),
+      0.6);
 }
 
 TEST(Environment, PhBellAroundOptimum) {
@@ -61,37 +63,43 @@ TEST(Environment, PhBellAroundOptimum) {
   acidic.ph = 5.0;
   Buffer basic = reference_buffer();
   basic.ph = 9.5;
-  const double at_ref =
-      relative_activity(kOxidase, reference_buffer(), air_saturated_oxygen());
-  EXPECT_LT(relative_activity(kOxidase, acidic, air_saturated_oxygen()),
-            at_ref);
-  EXPECT_LT(relative_activity(kOxidase, basic, air_saturated_oxygen()),
-            at_ref);
+  const double at_ref = try_relative_activity(kOxidase, reference_buffer(),
+                                              air_saturated_oxygen())
+                            .value();
+  EXPECT_LT(
+      try_relative_activity(kOxidase, acidic, air_saturated_oxygen()).value(),
+      at_ref);
+  EXPECT_LT(
+      try_relative_activity(kOxidase, basic, air_saturated_oxygen()).value(),
+      at_ref);
   // The bell is symmetric around the optimum (7.0).
   Buffer lo = reference_buffer();
   lo.ph = 6.0;
   Buffer hi = reference_buffer();
   hi.ph = 8.0;
-  EXPECT_NEAR(raw_activity(kOxidase, lo, air_saturated_oxygen()),
-              raw_activity(kOxidase, hi, air_saturated_oxygen()), 1e-12);
+  EXPECT_NEAR(try_raw_activity(kOxidase, lo, air_saturated_oxygen()).value(),
+              try_raw_activity(kOxidase, hi, air_saturated_oxygen()).value(),
+              1e-12);
 }
 
 TEST(Environment, ValidationRejectsNonPhysical) {
   EnvironmentSensitivity bad = kOxidase;
   bad.ph_width = 0.0;
-  EXPECT_THROW(
-      raw_activity(bad, reference_buffer(), air_saturated_oxygen()),
-      SpecError);
-  EXPECT_THROW(raw_activity(kOxidase, reference_buffer(),
-                            Concentration::milli_molar(-1.0)),
-               SpecError);
+  const auto flat_ph = try_raw_activity(bad, reference_buffer(),
+                                        air_saturated_oxygen());
+  ASSERT_FALSE(flat_ph.has_value());
+  EXPECT_EQ(flat_ph.error().code, ErrorCode::kSpec);
+  const auto negative_o2 = try_raw_activity(
+      kOxidase, reference_buffer(), Concentration::milli_molar(-1.0));
+  ASSERT_FALSE(negative_o2.has_value());
+  EXPECT_EQ(negative_o2.error().code, ErrorCode::kSpec);
 }
 
 TEST(Environment, HypoxicSampleUnderReadsThroughTheFullPipeline) {
   // A first-generation oxidase sensor under-reports glucose in a
   // hypoxic sample — the classic limitation, reproduced end to end.
   const core::BiosensorModel sensor(
-      core::entry_or_throw("MWCNT/Nafion + GOD (this work)").spec);
+      core::try_entry("MWCNT/Nafion + GOD (this work)").value().spec);
   chem::Sample normal =
       chem::calibration_sample("glucose", Concentration::milli_molar(0.5));
   chem::Sample hypoxic = normal;
@@ -105,7 +113,7 @@ TEST(Environment, HypoxicSampleUnderReadsThroughTheFullPipeline) {
 
 TEST(Environment, BodyTemperatureBoostsTheSignal) {
   const core::BiosensorModel sensor(
-      core::entry_or_throw("MWCNT/Nafion + GOD (this work)").spec);
+      core::try_entry("MWCNT/Nafion + GOD (this work)").value().spec);
   chem::Sample ref =
       chem::calibration_sample("glucose", Concentration::milli_molar(0.5));
   chem::Sample warm = ref;
@@ -122,7 +130,7 @@ TEST(Environment, BodyTemperatureBoostsTheSignal) {
 
 TEST(Environment, CypSensorUnaffectedByHypoxia) {
   const core::BiosensorModel sensor(
-      core::entry_or_throw("MWCNT + CYP (cyclophosphamide)").spec);
+      core::try_entry("MWCNT + CYP (cyclophosphamide)").value().spec);
   chem::Sample normal = chem::calibration_sample(
       "cyclophosphamide", Concentration::micro_molar(40.0));
   chem::Sample hypoxic = normal;

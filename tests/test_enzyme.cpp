@@ -16,50 +16,52 @@ TEST(Enzyme, CatalogContainsTable1Probes) {
 }
 
 TEST(Enzyme, AbbreviationsResolve) {
-  EXPECT_EQ(enzyme_or_throw("GOD").name, "glucose oxidase");
-  EXPECT_EQ(enzyme_or_throw("LOD").name, "lactate oxidase");
-  EXPECT_EQ(enzyme_or_throw("GlOD").name, "glutamate oxidase");
-  EXPECT_EQ(enzyme_or_throw("custom-CYP").name, "CYP102A1");
+  EXPECT_EQ(try_enzyme("GOD").value()->name, "glucose oxidase");
+  EXPECT_EQ(try_enzyme("LOD").value()->name, "lactate oxidase");
+  EXPECT_EQ(try_enzyme("GlOD").value()->name, "glutamate oxidase");
+  EXPECT_EQ(try_enzyme("custom-CYP").value()->name, "CYP102A1");
 }
 
 TEST(Enzyme, FamiliesMatchTable1) {
-  EXPECT_EQ(enzyme_or_throw("GOD").family, EnzymeFamily::kOxidase);
-  EXPECT_EQ(enzyme_or_throw("LOD").family, EnzymeFamily::kOxidase);
-  EXPECT_EQ(enzyme_or_throw("GlOD").family, EnzymeFamily::kOxidase);
+  EXPECT_EQ(try_enzyme("GOD").value()->family, EnzymeFamily::kOxidase);
+  EXPECT_EQ(try_enzyme("LOD").value()->family, EnzymeFamily::kOxidase);
+  EXPECT_EQ(try_enzyme("GlOD").value()->family, EnzymeFamily::kOxidase);
   for (const char* cyp : {"CYP102A1", "CYP1A2", "CYP2B6", "CYP3A4"}) {
-    EXPECT_EQ(enzyme_or_throw(cyp).family,
+    EXPECT_EQ(try_enzyme(cyp).value()->family,
               EnzymeFamily::kCytochromeP450)
         << cyp;
   }
 }
 
 TEST(Enzyme, SubstratePairingsMatchTable1) {
-  EXPECT_TRUE(enzyme_or_throw("GOD").kinetics_for("glucose").has_value());
-  EXPECT_TRUE(enzyme_or_throw("LOD").kinetics_for("lactate").has_value());
+  EXPECT_TRUE(try_enzyme("GOD").value()->kinetics_for("glucose").has_value());
+  EXPECT_TRUE(try_enzyme("LOD").value()->kinetics_for("lactate").has_value());
   EXPECT_TRUE(
-      enzyme_or_throw("GlOD").kinetics_for("glutamate").has_value());
-  EXPECT_TRUE(enzyme_or_throw("custom-CYP")
-                  .kinetics_for("arachidonic acid")
+      try_enzyme("GlOD").value()->kinetics_for("glutamate").has_value());
+  EXPECT_TRUE(try_enzyme("custom-CYP")
+                  .value()
+                  ->kinetics_for("arachidonic acid")
                   .has_value());
   EXPECT_TRUE(
-      enzyme_or_throw("CYP1A2").kinetics_for("ftorafur").has_value());
-  EXPECT_TRUE(enzyme_or_throw("CYP2B6")
-                  .kinetics_for("cyclophosphamide")
+      try_enzyme("CYP1A2").value()->kinetics_for("ftorafur").has_value());
+  EXPECT_TRUE(try_enzyme("CYP2B6")
+                  .value()
+                  ->kinetics_for("cyclophosphamide")
                   .has_value());
   EXPECT_TRUE(
-      enzyme_or_throw("CYP3A4").kinetics_for("ifosfamide").has_value());
+      try_enzyme("CYP3A4").value()->kinetics_for("ifosfamide").has_value());
 }
 
 TEST(Enzyme, WrongSubstrateHasNoKinetics) {
-  EXPECT_FALSE(enzyme_or_throw("GOD").kinetics_for("lactate").has_value());
+  EXPECT_FALSE(try_enzyme("GOD").value()->kinetics_for("lactate").has_value());
   EXPECT_FALSE(
-      enzyme_or_throw("CYP2B6").kinetics_for("glucose").has_value());
+      try_enzyme("CYP2B6").value()->kinetics_for("glucose").has_value());
 }
 
 TEST(Enzyme, OxidasesTransferTwoElectrons) {
   // H2O2 oxidation at the electrode carries 2 electrons per turnover.
-  EXPECT_EQ(enzyme_or_throw("GOD").kinetics_for("glucose")->electrons, 2);
-  EXPECT_EQ(enzyme_or_throw("LOD").kinetics_for("lactate")->electrons, 2);
+  EXPECT_EQ(try_enzyme("GOD").value()->kinetics_for("glucose")->electrons, 2);
+  EXPECT_EQ(try_enzyme("LOD").value()->kinetics_for("lactate")->electrons, 2);
 }
 
 TEST(Enzyme, MonolayerCoverageIsPicomolPerCm2Scale) {
@@ -86,15 +88,17 @@ TEST(Enzyme, LargerFootprintLowersCoverage) {
 
 TEST(Enzyme, CypFormalPotentialsSitInsideCvWindow) {
   for (const char* cyp : {"CYP102A1", "CYP1A2", "CYP2B6", "CYP3A4"}) {
-    const double e0 = enzyme_or_throw(cyp).formal_potential.volts();
+    const double e0 = try_enzyme(cyp).value()->formal_potential.volts();
     EXPECT_GT(e0, -0.5) << cyp;  // inside the +0.2 .. -0.6 V sweep
     EXPECT_LT(e0, 0.1) << cyp;
   }
 }
 
-TEST(Enzyme, UnknownThrows) {
+TEST(Enzyme, UnknownIsASpecError) {
   EXPECT_FALSE(find_enzyme("telomerase").has_value());
-  EXPECT_THROW(enzyme_or_throw("telomerase"), SpecError);
+  const auto unknown = try_enzyme("telomerase");
+  ASSERT_FALSE(unknown.has_value());
+  EXPECT_EQ(unknown.error().code, ErrorCode::kSpec);
 }
 
 TEST(Enzyme, FamilyNames) {

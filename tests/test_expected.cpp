@@ -63,19 +63,19 @@ TEST(Expected, AndThenChainsFallibleSteps) {
   EXPECT_EQ(bad.and_then(half).error().stage, "spec");
 }
 
-TEST(Expected, ValueOrThrowRematerializesTheMatchingException) {
+TEST(Expected, ValueRematerializesTheMatchingException) {
   const Expected<int> spec(
       make_error(ErrorCode::kSpec, Layer::kChem, "kinetics", "bad"));
-  EXPECT_THROW((void)spec.value_or_throw(), SpecError);
+  EXPECT_THROW((void)spec.value(), SpecError);
   const Expected<int> numerics(
       make_error(ErrorCode::kNumerics, Layer::kAnalysis, "fit", "bad"));
-  EXPECT_THROW((void)numerics.value_or_throw(), NumericsError);
+  EXPECT_THROW((void)numerics.value(), NumericsError);
   const Expected<int> analysis(
       make_error(ErrorCode::kAnalysis, Layer::kAnalysis, "peaks", "bad"));
-  EXPECT_THROW((void)analysis.value_or_throw(), AnalysisError);
+  EXPECT_THROW((void)analysis.value(), AnalysisError);
   const Expected<int> internal(
       make_error(ErrorCode::kInternal, Layer::kEngine, "job", "bad"));
-  EXPECT_THROW((void)internal.value_or_throw(), Error);
+  EXPECT_THROW((void)internal.value(), Error);
 }
 
 TEST(Expected, VoidSpecializationExpressesPureSuccessOrFailure) {
@@ -87,7 +87,7 @@ TEST(Expected, VoidSpecializationExpressesPureSuccessOrFailure) {
                                       "spec", "violated");
   EXPECT_FALSE(broken.has_value());
   EXPECT_EQ(broken.error().message, "violated");
-  EXPECT_THROW(broken.value_or_throw(), SpecError);
+  EXPECT_THROW(broken.value(), SpecError);
 
   // and_then on a success runs the continuation; on a failure skips it.
   bool ran = false;
@@ -143,21 +143,17 @@ TEST(ErrorInfo, FromExceptionClassifiesTheLegacyTaxonomy) {
             ErrorCode::kInternal);
 }
 
-TEST(Expected, ChemLayerReportsStructuredErrorsAndShimsStillThrow) {
-  // try_* reports as a value...
+TEST(Expected, ChemLayerReportsStructuredErrors) {
   const auto bad = chem::MichaelisMenten::try_create(
       Rate::per_second(-1.0), Concentration::milli_molar(1.0));
   ASSERT_FALSE(bad.has_value());
   EXPECT_EQ(bad.error().code, ErrorCode::kSpec);
   EXPECT_EQ(bad.error().layer, Layer::kChem);
   EXPECT_EQ(bad.error().stage, "kinetics");
-  // ...while the legacy constructor remains a throwing shim over it.
-  EXPECT_THROW(chem::MichaelisMenten(Rate::per_second(-1.0),
-                                     Concentration::milli_molar(1.0)),
-               SpecError);
 
-  ASSERT_FALSE(chem::try_species("unobtainium").has_value());
-  EXPECT_THROW((void)chem::species_or_throw("unobtainium"), SpecError);
+  const auto unknown = chem::try_species("unobtainium");
+  ASSERT_FALSE(unknown.has_value());
+  EXPECT_EQ(unknown.error().code, ErrorCode::kSpec);
 }
 
 // --- End-to-end: a bad sample propagates chem -> core -> engine as a
@@ -166,7 +162,7 @@ TEST(Expected, ChemLayerReportsStructuredErrorsAndShimsStillThrow) {
 
 core::Platform calibrated_single_sensor_platform() {
   core::Platform p;
-  p.add_sensor(core::entry_or_throw("MWCNT/Nafion + GOD (this work)"));
+  p.add_sensor(core::try_entry("MWCNT/Nafion + GOD (this work)").value());
   core::ProtocolOptions quick;
   quick.blank_repeats = 8;
   quick.replicates = 1;

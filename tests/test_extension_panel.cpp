@@ -15,7 +15,7 @@ TEST(ExtensionPanel, FourDevicesExist) {
   for (const CatalogEntry& e : entries) {
     EXPECT_EQ(e.spec.citation, "ext [9]");
     EXPECT_FALSE(e.is_platform);
-    EXPECT_NO_THROW(e.spec.validate());
+    EXPECT_NO_THROW(e.spec.try_validate().value());
   }
 }
 
@@ -26,7 +26,7 @@ TEST(ExtensionPanel, DevicesCalibrateToDesignFigures) {
     const BiosensorModel sensor(e.spec);
     const auto series = standard_series(e.published.range_low,
                                         e.published.range_high);
-    const auto result = protocol.run(sensor, series, rng).result;
+    const auto result = protocol.try_run(sensor, series, rng).value().result;
     const double target =
         e.published.sensitivity.micro_amp_per_milli_molar_cm2();
     EXPECT_NEAR(result.sensitivity.micro_amp_per_milli_molar_cm2(), target,
@@ -42,12 +42,13 @@ TEST(ExtensionPanel, DevicesCalibrateToDesignFigures) {
 }
 
 TEST(ExtensionPanel, ProfenPairSharesTheIsoform) {
-  const CatalogEntry naproxen = entry_or_throw("MWCNT + CYP (naproxen)");
-  const CatalogEntry flurbi = entry_or_throw("MWCNT + CYP (flurbiprofen)");
+  const CatalogEntry naproxen = try_entry("MWCNT + CYP (naproxen)").value();
+  const CatalogEntry flurbi = try_entry("MWCNT + CYP (flurbiprofen)").value();
   EXPECT_EQ(naproxen.spec.assembly.enzyme.name, "CYP2C9");
   EXPECT_EQ(flurbi.spec.assembly.enzyme.name, "CYP2C9");
   // Each device lists the sibling profen as a cross activity.
-  const auto naproxen_layer = electrode::synthesize(naproxen.spec.assembly);
+  const auto naproxen_layer =
+      electrode::try_synthesize(naproxen.spec.assembly).value();
   ASSERT_EQ(naproxen_layer.secondary.size(), 1u);
   EXPECT_EQ(naproxen_layer.secondary.front().substrate, "flurbiprofen");
 }
@@ -59,9 +60,9 @@ TEST(ExtensionPanel, SameIsoformPairIsUnresolvable) {
   // collinearity near 1) rather than return confidently wrong numbers —
   // the real fix is a different recognition element, not algebra.
   const BiosensorModel naproxen(
-      entry_or_throw("MWCNT + CYP (naproxen)").spec);
+      try_entry("MWCNT + CYP (naproxen)").value().spec);
   const BiosensorModel flurbi(
-      entry_or_throw("MWCNT + CYP (flurbiprofen)").spec);
+      try_entry("MWCNT + CYP (flurbiprofen)").value().spec);
   const PanelModel model = characterize_panel(
       {&naproxen, &flurbi},
       {Concentration::micro_molar(80.0), Concentration::micro_molar(50.0)});
@@ -84,13 +85,13 @@ TEST(ExtensionPanel, FiveDrugPanelCharacterizes) {
   // The full [9] width: CP, ifosfamide, benzphetamine, dextromethorphan,
   // naproxen — a 5x5 cross-sensitivity system that stays solvable.
   const BiosensorModel cp(
-      entry_or_throw("MWCNT + CYP (cyclophosphamide)").spec);
-  const BiosensorModel ifos(entry_or_throw("MWCNT + CYP (ifosfamide)").spec);
+      try_entry("MWCNT + CYP (cyclophosphamide)").value().spec);
+  const BiosensorModel ifos(try_entry("MWCNT + CYP (ifosfamide)").value().spec);
   const BiosensorModel benz(
-      entry_or_throw("MWCNT + CYP (benzphetamine)").spec);
+      try_entry("MWCNT + CYP (benzphetamine)").value().spec);
   const BiosensorModel dextro(
-      entry_or_throw("MWCNT + CYP (dextromethorphan)").spec);
-  const BiosensorModel napro(entry_or_throw("MWCNT + CYP (naproxen)").spec);
+      try_entry("MWCNT + CYP (dextromethorphan)").value().spec);
+  const BiosensorModel napro(try_entry("MWCNT + CYP (naproxen)").value().spec);
 
   const PanelModel model = characterize_panel(
       {&cp, &ifos, &benz, &dextro, &napro},

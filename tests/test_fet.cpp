@@ -32,7 +32,7 @@ namespace {
 }
 
 [[nodiscard]] core::BiosensorModel fet_sensor(std::string_view name) {
-  return core::BiosensorModel(core::entry_or_throw(name).spec);
+  return core::BiosensorModel(core::try_entry(name).value().spec);
 }
 
 // --- device physics -------------------------------------------------
@@ -202,8 +202,8 @@ TEST(Fet, ExtendedCatalogMixesAmperometricAndFetRows) {
     }
   }
   EXPECT_GE(fet_rows, 2u);
-  EXPECT_EQ(core::entry_or_throw("CNT-BA FET").spec.target, "glucose");
-  EXPECT_EQ(core::entry_or_throw("Graphene-PBA FET").spec.target,
+  EXPECT_EQ(core::try_entry("CNT-BA FET").value().spec.target, "glucose");
+  EXPECT_EQ(core::try_entry("Graphene-PBA FET").value().spec.target,
             "glucose");
 }
 
@@ -215,7 +215,7 @@ TEST(Fet, MixedBatchIsWorkerCountInvariant) {
   // SimCache on in the threaded run, exercising concurrent FET lookups).
   std::vector<core::BiosensorModel> sensors;
   sensors.push_back(core::BiosensorModel(
-      core::entry_or_throw("MWCNT/Nafion + GOD (this work)").spec));
+      core::try_entry("MWCNT/Nafion + GOD (this work)").value().spec));
   sensors.push_back(fet_sensor("CNT-BA FET"));
   sensors.push_back(fet_sensor("Graphene-PBA FET"));
 
@@ -269,7 +269,7 @@ TEST(Fet, ServiceSessionSnapshotRestoreIsInvisible) {
   // Interrupting mid-stream (drain -> snapshot -> close -> restore)
   // must leave the final snapshot byte-identical to an uninterrupted
   // run — the same contract the amperometric service demo enforces.
-  const auto spec = core::entry_or_throw("CNT-BA FET").spec;
+  const auto spec = core::try_entry("CNT-BA FET").value().spec;
   const auto make_body = [&spec]() -> service::SessionBody {
     const auto sensor = std::make_shared<core::BiosensorModel>(spec);
     return [sensor](service::SessionContext& c) -> Expected<double> {

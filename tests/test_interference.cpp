@@ -19,20 +19,21 @@ double serum_relative_error(const SensorSpec& spec, Concentration level,
   const BiosensorModel sensor(spec);
   Rng rng(seed);
   const CalibrationProtocol protocol;
-  const CatalogEntry entry = entry_or_throw(spec.name);
+  const CatalogEntry entry = try_entry(spec.name).value();
   const auto cal =
       protocol
-          .run(sensor,
-               standard_series(entry.published.range_low,
-                               entry.published.range_high),
-               rng)
+          .try_run(sensor,
+                   standard_series(entry.published.range_low,
+                                   entry.published.range_high),
+                   rng)
+          .value()
           .result;
 
   double total = 0.0;
   constexpr int kRepeats = 6;
   for (int i = 0; i < kRepeats; ++i) {
     const double response =
-        sensor.measure(chem::serum_sample(spec.target, level), rng)
+        sensor.try_measure(chem::serum_sample(spec.target, level), rng).value()
             .response_a;
     total += (response - cal.fit.intercept) / cal.fit.slope;
   }
@@ -46,7 +47,7 @@ TEST(Interference, SingleEndedNafionSensorStillReadsHighInSerum) {
   // single-ended reading of 0.5 mM glucose upward — the quantitative
   // reason the chip reserves a working electrode for referencing.
   const SensorSpec spec =
-      entry_or_throw("MWCNT/Nafion + GOD (this work)").spec;
+      try_entry("MWCNT/Nafion + GOD (this work)").value().spec;
   const double err = serum_relative_error(
       spec, Concentration::milli_molar(0.5), 21);
   EXPECT_GT(err, 0.3);
@@ -57,7 +58,7 @@ TEST(Interference, DifferentialReferencingRecoversAccuracy) {
   // Active-minus-reference on the same chip cancels the interferent
   // background (it is common-mode): serum reads within ~12%.
   const SensorSpec spec =
-      entry_or_throw("MWCNT/Nafion + GOD (this work)").spec;
+      try_entry("MWCNT/Nafion + GOD (this work)").value().spec;
   const DifferentialSensor pair(spec);
 
   // Two-point clean calibration of the differential channel.
@@ -81,7 +82,7 @@ TEST(Interference, DifferentialReferencingRecoversAccuracy) {
 TEST(Interference, UnprotectedFilmReadsHighInSerum) {
   // Strip the permselectivity (transmission 1.0): the interferents
   // oxidize freely at +650 mV and the sensor overreads badly.
-  SensorSpec spec = entry_or_throw("MWCNT/Nafion + GOD (this work)").spec;
+  SensorSpec spec = try_entry("MWCNT/Nafion + GOD (this work)").value().spec;
   spec.assembly.modification.interferent_transmission = 1.0;
   const double err = serum_relative_error(
       spec, Concentration::milli_molar(0.5), 21);
@@ -89,7 +90,7 @@ TEST(Interference, UnprotectedFilmReadsHighInSerum) {
 }
 
 TEST(Interference, BiasScalesWithTransmission) {
-  SensorSpec spec = entry_or_throw("MWCNT/Nafion + GOD (this work)").spec;
+  SensorSpec spec = try_entry("MWCNT/Nafion + GOD (this work)").value().spec;
   spec.assembly.modification.interferent_transmission = 0.5;
   const double half = serum_relative_error(
       spec, Concentration::milli_molar(0.5), 21);
@@ -104,14 +105,14 @@ TEST(Interference, CypVoltammetryToleratesSerum) {
   // at its +0.2 V start, and the peak-adjacent baseline ignores that
   // region: serum error stays small.
   const SensorSpec spec =
-      entry_or_throw("MWCNT + CYP (cyclophosphamide)").spec;
+      try_entry("MWCNT + CYP (cyclophosphamide)").value().spec;
   const double err = serum_relative_error(
       spec, Concentration::micro_molar(40.0), 33);
   EXPECT_LT(std::abs(err), 0.15);
 }
 
 TEST(Interference, DpvToleratesSerumEvenBetter) {
-  SensorSpec spec = entry_or_throw("MWCNT + CYP (cyclophosphamide)").spec;
+  SensorSpec spec = try_entry("MWCNT + CYP (cyclophosphamide)").value().spec;
   spec.technique = Technique::kDifferentialPulseVoltammetry;
   spec.name = "MWCNT + CYP (cyclophosphamide)";  // reuse catalog ranges
   const double err = serum_relative_error(
@@ -124,7 +125,7 @@ TEST(Interference, SerumBlankReadsNearZeroWithDifferentialReferencing) {
   // produce an apparent glucose level far above the (sqrt(2)-degraded)
   // detection limit.
   const CatalogEntry entry =
-      entry_or_throw("MWCNT/Nafion + GOD (this work)");
+      try_entry("MWCNT/Nafion + GOD (this work)").value();
   const DifferentialSensor pair(entry.spec);
   const double blank = pair.ideal_differential_a(chem::blank_sample());
   const double top = pair.ideal_differential_a(chem::calibration_sample(

@@ -3,14 +3,15 @@
 #include <gtest/gtest.h>
 
 #include "chem/kinetics.hpp"
-#include "common/error.hpp"
+#include "common/expected.hpp"
 
 namespace biosens::chem {
 namespace {
 
 MichaelisMenten make_mm(double kcat = 100.0, double km_mm = 2.0) {
-  return MichaelisMenten(Rate::per_second(kcat),
-                         Concentration::milli_molar(km_mm));
+  return MichaelisMenten::try_create(Rate::per_second(kcat),
+                                     Concentration::milli_molar(km_mm))
+      .value();
 }
 
 TEST(MichaelisMenten, HalfSaturationAtKm) {
@@ -61,21 +62,26 @@ TEST(MichaelisMenten, LinearityDeviationFormula) {
 
 TEST(MichaelisMenten, LinearLimitInvertsDeviation) {
   const MichaelisMenten mm = make_mm(100.0, 19.0);
-  const Concentration limit = mm.linear_limit(0.05);
+  const Concentration limit = mm.try_linear_limit(0.05).value();
   EXPECT_NEAR(limit.milli_molar(), 1.0, 1e-9);
   // At that limit the deviation is exactly the criterion.
   EXPECT_NEAR(mm.linearity_deviation(limit), 0.05, 1e-12);
 }
 
 TEST(MichaelisMenten, RejectsNonPhysicalParameters) {
-  EXPECT_THROW(MichaelisMenten(Rate::per_second(0.0),
-                               Concentration::milli_molar(1.0)),
-               SpecError);
-  EXPECT_THROW(MichaelisMenten(Rate::per_second(1.0),
-                               Concentration::milli_molar(0.0)),
-               SpecError);
-  EXPECT_THROW(make_mm().linear_limit(0.0), SpecError);
-  EXPECT_THROW(make_mm().linear_limit(1.0), SpecError);
+  const auto zero_kcat = MichaelisMenten::try_create(
+      Rate::per_second(0.0), Concentration::milli_molar(1.0));
+  ASSERT_FALSE(zero_kcat.has_value());
+  EXPECT_EQ(zero_kcat.error().code, ErrorCode::kSpec);
+  const auto zero_km = MichaelisMenten::try_create(
+      Rate::per_second(1.0), Concentration::milli_molar(0.0));
+  ASSERT_FALSE(zero_km.has_value());
+  EXPECT_EQ(zero_km.error().code, ErrorCode::kSpec);
+  for (const double max_deviation : {0.0, 1.0}) {
+    const auto limit = make_mm().try_linear_limit(max_deviation);
+    ASSERT_FALSE(limit.has_value()) << max_deviation;
+    EXPECT_EQ(limit.error().code, ErrorCode::kSpec) << max_deviation;
+  }
 }
 
 TEST(CompetitiveInhibition, ScalesKm) {

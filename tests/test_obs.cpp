@@ -758,13 +758,13 @@ TEST(FlightRecorderTest, RecorderDoesNotPerturbEngineResults) {
   poc.chrono.grid_nodes = 24;
   poc.voltammetry.points_per_sweep = 40;
   core::Platform platform;
-  platform.add_sensor(core::entry_or_throw("MWCNT/Nafion + GOD (this work)"),
+  platform.add_sensor(core::try_entry("MWCNT/Nafion + GOD (this work)").value(),
                       poc);
   Rng rng(77);
   core::ProtocolOptions protocol;
   protocol.blank_repeats = 4;
   protocol.replicates = 1;
-  platform.calibrate_all(rng, protocol);
+  platform.try_calibrate_all(rng, protocol).value();
 
   std::vector<chem::Sample> cohort;
   for (int i = 0; i < 4; ++i) {
@@ -809,7 +809,7 @@ namespace {
 
 Platform small_platform() {
   Platform p;
-  p.add_sensor(entry_or_throw("MWCNT/Nafion + GOD (this work)"));
+  p.add_sensor(try_entry("MWCNT/Nafion + GOD (this work)").value());
   return p;
 }
 
@@ -846,7 +846,7 @@ class TracedBatch : public ::testing::Test {
     o.blank_repeats = 8;
     o.replicates = 1;
     Rng rng(2012);
-    platform_.calibrate_all(rng, o);
+    platform_.try_calibrate_all(rng, o).value();
     samples_ = glucose_samples(6);
   }
 

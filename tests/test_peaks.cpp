@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "analysis/peaks.hpp"
-#include "common/error.hpp"
+#include "common/expected.hpp"
 
 namespace biosens::analysis {
 namespace {
@@ -39,7 +39,7 @@ electrochem::Voltammogram synthetic_cv(double peak_height_a,
 
 TEST(Peaks, FindsCathodicDip) {
   const auto vg = synthetic_cv(1e-6, -0.1);
-  const auto peak = find_cathodic_peak(vg);
+  const auto peak = try_find_cathodic_peak(vg).value();
   ASSERT_TRUE(peak.has_value());
   EXPECT_NEAR(peak->potential_v, -0.1, 0.01);
   EXPECT_NEAR(peak->height_a, 1e-6, 0.05e-6);
@@ -47,7 +47,7 @@ TEST(Peaks, FindsCathodicDip) {
 
 TEST(Peaks, FindsAnodicBump) {
   const auto vg = synthetic_cv(1e-6, -0.1);
-  const auto peak = find_anodic_peak(vg);
+  const auto peak = try_find_anodic_peak(vg).value();
   ASSERT_TRUE(peak.has_value());
   EXPECT_NEAR(peak->potential_v, -0.05, 0.02);
   EXPECT_NEAR(peak->height_a, 0.5e-6, 0.05e-6);
@@ -57,8 +57,8 @@ TEST(Peaks, BaselineSlopeDoesNotBiasHeight) {
   // Same dip on a steep baseline: corrected height unchanged.
   const auto flat = synthetic_cv(1e-6, -0.1, 0.0);
   const auto steep = synthetic_cv(1e-6, -0.1, 3e-6);
-  const double h_flat = find_cathodic_peak(flat)->height_a;
-  const double h_steep = find_cathodic_peak(steep)->height_a;
+  const double h_flat = try_find_cathodic_peak(flat).value()->height_a;
+  const double h_steep = try_find_cathodic_peak(steep).value()->height_a;
   EXPECT_NEAR(h_flat, h_steep, 0.1e-6);
 }
 
@@ -68,8 +68,8 @@ TEST(Peaks, FlatCurveHasNoPeak) {
   for (int i = 0; i < n; ++i) vg.push(0.2 - 0.8 * i / (n - 1.0), 1e-7);
   vg.turning_index = n;
   for (int i = 0; i < n; ++i) vg.push(-0.6 + 0.8 * i / (n - 1.0), -1e-7);
-  EXPECT_FALSE(find_cathodic_peak(vg).has_value());
-  EXPECT_FALSE(find_anodic_peak(vg).has_value());
+  EXPECT_FALSE(try_find_cathodic_peak(vg).value().has_value());
+  EXPECT_FALSE(try_find_anodic_peak(vg).value().has_value());
 }
 
 TEST(Peaks, PeakSeparationFromBothBranches) {
@@ -82,8 +82,8 @@ TEST(Peaks, PeakSeparationFromBothBranches) {
 TEST(Peaks, HysteresisAreaPositiveAndScales) {
   const auto small = synthetic_cv(0.5e-6, -0.1);
   const auto large = synthetic_cv(2e-6, -0.1);
-  const double a_small = hysteresis_area(small);
-  const double a_large = hysteresis_area(large);
+  const double a_small = try_hysteresis_area(small).value();
+  const double a_large = try_hysteresis_area(large).value();
   EXPECT_GT(a_small, 0.0);
   EXPECT_GT(a_large, a_small);
 }
@@ -92,17 +92,46 @@ TEST(Peaks, RejectsDegenerateVoltammograms) {
   electrochem::Voltammogram tiny;
   tiny.push(0.0, 0.0);
   tiny.push(0.1, 0.0);
-  EXPECT_THROW(find_cathodic_peak(tiny), AnalysisError);
+  const auto too_short = try_find_cathodic_peak(tiny);
+  ASSERT_FALSE(too_short.has_value());
+  EXPECT_EQ(too_short.error().code, ErrorCode::kAnalysis);
 
   electrochem::Voltammogram bad_turn;
   for (int i = 0; i < 20; ++i) bad_turn.push(0.1 * i, 0.0);
   bad_turn.turning_index = 0;
-  EXPECT_THROW(find_cathodic_peak(bad_turn), AnalysisError);
+  const auto turn_out_of_range = try_find_cathodic_peak(bad_turn);
+  ASSERT_FALSE(turn_out_of_range.has_value());
+  EXPECT_EQ(turn_out_of_range.error().code, ErrorCode::kAnalysis);
+
+  // A sweep that never leaves 0 V: no line can be fitted to its branches.
+  electrochem::Voltammogram unswept;
+  for (int i = 0; i < 40; ++i) unswept.push(0.0, 1e-9 * i);
+  unswept.turning_index = 20;
+  for (const auto& found :
+       {try_find_anodic_peak(unswept), try_find_cathodic_peak(unswept)}) {
+    ASSERT_FALSE(found.has_value());
+    EXPECT_EQ(found.error().code, ErrorCode::kAnalysis);
+  }
+
+  // A staircase sweep in 125 mV steps of 50 samples each, with a dip on
+  // the -0.375 V step: the pre-peak baseline window then holds only the
+  // -0.25 V step, a single potential no baseline can be fitted through.
+  // That is no peak, as for a window too short to fit, not an error.
+  electrochem::Voltammogram stairs;
+  for (int i = 0; i < 400; ++i) {
+    const double e = 0.25 - 0.125 * (i / 50);
+    stairs.push(e, i / 50 == 5 ? -1e-6 : 0.0);
+  }
+  stairs.turning_index = 400;
+  for (int i = 0; i < 400; ++i) stairs.push(-0.625 + 0.125 * (i / 50), 0.0);
+  const auto peak = try_find_cathodic_peak(stairs);
+  ASSERT_TRUE(peak.has_value()) << peak.error().describe();
+  EXPECT_FALSE(peak.value().has_value());
 }
 
 TEST(Peaks, PeakIndexRefersIntoVoltammogram) {
   const auto vg = synthetic_cv(1e-6, -0.1);
-  const auto peak = find_cathodic_peak(vg);
+  const auto peak = try_find_cathodic_peak(vg).value();
   ASSERT_TRUE(peak.has_value());
   ASSERT_LT(peak->index, vg.size());
   EXPECT_DOUBLE_EQ(vg.potential_v[peak->index], peak->potential_v);

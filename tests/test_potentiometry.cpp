@@ -88,8 +88,9 @@ class UreaSensorFixture : public ::testing::Test {
  protected:
   UreaSensorFixture()
       : sensor_(ammonium_ise(),
-                chem::MichaelisMenten(Rate::per_second(500.0),
-                                      Concentration::milli_molar(3.0)),
+                chem::MichaelisMenten::try_create(
+                    Rate::per_second(500.0), Concentration::milli_molar(3.0))
+                    .value(),
                 "urea", 1e-3) {}
   PotentiometricBiosensor sensor_;
 

@@ -28,7 +28,7 @@ TEST(Protocol, StandardSeriesExtendsBeyondRange) {
 
 TEST(Protocol, OutcomeShapes) {
   const CatalogEntry entry =
-      entry_or_throw("MWCNT/Nafion + GOD (this work)");
+      try_entry("MWCNT/Nafion + GOD (this work)").value();
   const BiosensorModel sensor(entry.spec);
   Rng rng(11);
   ProtocolOptions options;
@@ -37,7 +37,7 @@ TEST(Protocol, OutcomeShapes) {
   const CalibrationProtocol protocol(options);
   const auto series = standard_series(entry.published.range_low,
                                       entry.published.range_high);
-  const ProtocolOutcome outcome = protocol.run(sensor, series, rng);
+  const ProtocolOutcome outcome = protocol.try_run(sensor, series, rng).value();
 
   EXPECT_EQ(outcome.blank_responses_a.size(), 6u);
   EXPECT_EQ(outcome.points.size(), series.size());
@@ -51,7 +51,7 @@ TEST(Protocol, ReplicateAveragingReducesPointScatter) {
   // The scatter of a replicate-averaged calibration point shrinks as
   // 1/sqrt(r); verify on repeated single-level measurements.
   const CatalogEntry entry =
-      entry_or_throw("MWCNT/Nafion + GOD (this work)");
+      try_entry("MWCNT/Nafion + GOD (this work)").value();
   const BiosensorModel sensor(entry.spec);
   const chem::Sample level =
       chem::calibration_sample("glucose", Concentration::milli_molar(0.5));
@@ -62,7 +62,7 @@ TEST(Protocol, ReplicateAveragingReducesPointScatter) {
     for (int trial = 0; trial < 24; ++trial) {
       double sum = 0.0;
       for (std::size_t r = 0; r < replicates; ++r) {
-        sum += sensor.measure(level, rng).response_a;
+        sum += sensor.try_measure(level, rng).value().response_a;
       }
       means.push_back(sum / static_cast<double>(replicates));
     }
@@ -75,7 +75,7 @@ TEST(Protocol, ReplicateAveragingReducesPointScatter) {
 
 TEST(Protocol, DeterministicGivenSeed) {
   const CatalogEntry entry =
-      entry_or_throw("MWCNT/Nafion + GOD (this work)");
+      try_entry("MWCNT/Nafion + GOD (this work)").value();
   const BiosensorModel sensor(entry.spec);
   const auto series = standard_series(entry.published.range_low,
                                       entry.published.range_high);
@@ -84,8 +84,8 @@ TEST(Protocol, DeterministicGivenSeed) {
   options.replicates = 1;
   const CalibrationProtocol protocol(options);
   Rng a(5), b(5);
-  const auto out_a = protocol.run(sensor, series, a);
-  const auto out_b = protocol.run(sensor, series, b);
+  const auto out_a = protocol.try_run(sensor, series, a).value();
+  const auto out_b = protocol.try_run(sensor, series, b).value();
   EXPECT_DOUBLE_EQ(out_a.result.fit.slope, out_b.result.fit.slope);
   EXPECT_DOUBLE_EQ(out_a.result.lod.milli_molar(),
                    out_b.result.lod.milli_molar());
@@ -102,13 +102,15 @@ TEST(Protocol, RejectsBadOptions) {
 
 TEST(Protocol, RejectsShortSeries) {
   const CatalogEntry entry =
-      entry_or_throw("MWCNT/Nafion + GOD (this work)");
+      try_entry("MWCNT/Nafion + GOD (this work)").value();
   const BiosensorModel sensor(entry.spec);
   Rng rng(1);
   const CalibrationProtocol protocol;
   const std::vector<Concentration> short_series = {
       Concentration{}, Concentration::milli_molar(1.0)};
-  EXPECT_THROW(protocol.run(sensor, short_series, rng), SpecError);
+  const auto outcome = protocol.try_run(sensor, short_series, rng);
+  ASSERT_FALSE(outcome.has_value());
+  EXPECT_EQ(outcome.error().code, ErrorCode::kSpec);
 }
 
 }  // namespace

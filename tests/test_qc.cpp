@@ -10,16 +10,16 @@ namespace {
 
 class QcFixture : public ::testing::Test {
  protected:
-  QcFixture() : entry_(entry_or_throw("MWCNT/Nafion + GOD (this work)")) {}
+  QcFixture() : entry_(try_entry("MWCNT/Nafion + GOD (this work)").value()) {}
 
   ProtocolOutcome calibrate(const SensorSpec& spec, std::uint64_t seed) {
     const BiosensorModel sensor(spec);
     Rng rng(seed);
     const CalibrationProtocol protocol;
-    return protocol.run(sensor,
-                        standard_series(entry_.published.range_low,
-                                        entry_.published.range_high),
-                        rng);
+    return protocol.try_run(sensor,
+                            standard_series(entry_.published.range_low,
+                                            entry_.published.range_high),
+                            rng).value();
   }
 
   CatalogEntry entry_;

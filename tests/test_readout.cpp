@@ -141,29 +141,34 @@ electrochem::TimeSeries constant_trace(double amps, std::size_t n) {
 }
 
 TEST(Chain, ReconstructsCleanSignal) {
-  const SignalChain chain(
-      SignalChain::for_full_scale(Current::micro_amps(1.0)));
+  const SignalChain chain =
+      SignalChain::try_for_full_scale(Current::micro_amps(1.0))
+          .and_then(SignalChain::try_create)
+          .value();
   NoiseSpec quiet;
   quiet.electrode_lf_rms = Current{};
   quiet.white_density_a_per_sqrt_hz = 0.0;
   quiet.include_shot = false;
   Rng rng(1);
   const auto out =
-      chain.acquire(constant_trace(0.5e-6, 400), quiet, rng);
-  EXPECT_NEAR(out.tail_mean_a(0.25), 0.5e-6, 1e-9);
+      chain.try_acquire(constant_trace(0.5e-6, 400), quiet, rng).value();
+  EXPECT_NEAR(out.try_tail_mean_a(0.25).value(), 0.5e-6, 1e-9);
 }
 
 TEST(Chain, NoisyBlankHasExpectedSpread) {
-  const SignalChain chain(
-      SignalChain::for_full_scale(Current::nano_amps(20.0)));
+  const SignalChain chain =
+      SignalChain::try_for_full_scale(Current::nano_amps(20.0))
+          .and_then(SignalChain::try_create)
+          .value();
   NoiseSpec spec;
   spec.electrode_lf_rms = Current::nano_amps(1.0);
   Rng rng(7);
   // Repeat blank measurements: the tail means spread by roughly the LF rms.
   std::vector<double> responses;
   for (int i = 0; i < 60; ++i) {
-    const auto out = chain.acquire(constant_trace(0.0, 400), spec, rng);
-    responses.push_back(out.tail_mean_a(0.1));
+    const auto out =
+        chain.try_acquire(constant_trace(0.0, 400), spec, rng).value();
+    responses.push_back(out.try_tail_mean_a(0.1).value());
   }
   const double sigma = sample_stddev(responses);
   EXPECT_GT(sigma, 0.3e-9);
@@ -172,18 +177,22 @@ TEST(Chain, NoisyBlankHasExpectedSpread) {
 
 TEST(Chain, FullScaleAutoSelection) {
   // Gain picked so the expected max sits inside 60% of the rail.
-  const ChainConfig big = SignalChain::for_full_scale(Current::amps(1e-4));
+  const ChainConfig big =
+      SignalChain::try_for_full_scale(Current::amps(1e-4)).value();
   EXPECT_DOUBLE_EQ(big.tia.feedback().ohms(), 1e4);
-  const ChainConfig small = SignalChain::for_full_scale(Current::amps(1e-9));
+  const ChainConfig small =
+      SignalChain::try_for_full_scale(Current::amps(1e-9)).value();
   EXPECT_DOUBLE_EQ(small.tia.feedback().ohms(), 1e8);
 }
 
 TEST(Chain, MeasurementNoiseIncludesQuantization) {
-  const SignalChain coarse(ChainConfig{
-      TransimpedanceAmplifier(Resistance::ohms(1e4),
-                              Frequency::kilo_hertz(1.0),
-                              Potential::volts(1.2)),
-      Adc(Potential::volts(1.2), 8), 1});
+  const SignalChain coarse =
+      SignalChain::try_create(
+          ChainConfig{TransimpedanceAmplifier(Resistance::ohms(1e4),
+                                              Frequency::kilo_hertz(1.0),
+                                              Potential::volts(1.2)),
+                      Adc(Potential::volts(1.2), 8), 1})
+          .value();
   NoiseSpec quiet;
   quiet.electrode_lf_rms = Current{};
   quiet.white_density_a_per_sqrt_hz = 0.0;
@@ -194,13 +203,17 @@ TEST(Chain, MeasurementNoiseIncludesQuantization) {
 }
 
 TEST(Chain, AcquireRejectsDegenerateTrace) {
-  const SignalChain chain(
-      SignalChain::for_full_scale(Current::micro_amps(1.0)));
+  const SignalChain chain =
+      SignalChain::try_for_full_scale(Current::micro_amps(1.0))
+          .and_then(SignalChain::try_create)
+          .value();
   NoiseSpec spec;
   Rng rng(1);
   electrochem::TimeSeries t;
   t.push(0.0, 1e-9);
-  EXPECT_THROW(chain.acquire(t, spec, rng), AnalysisError);
+  const auto acquired = chain.try_acquire(t, spec, rng);
+  ASSERT_FALSE(acquired.has_value());
+  EXPECT_EQ(acquired.error().code, ErrorCode::kAnalysis);
 }
 
 }  // namespace

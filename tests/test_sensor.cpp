@@ -12,20 +12,21 @@ namespace biosens::core {
 namespace {
 
 BiosensorModel glucose_sensor() {
-  return BiosensorModel(entry_or_throw("MWCNT/Nafion + GOD (this work)").spec);
+  return BiosensorModel(
+      try_entry("MWCNT/Nafion + GOD (this work)").value().spec);
 }
 
 BiosensorModel cp_sensor() {
   return BiosensorModel(
-      entry_or_throw("MWCNT + CYP (cyclophosphamide)").spec);
+      try_entry("MWCNT + CYP (cyclophosphamide)").value().spec);
 }
 
 TEST(Sensor, MeasurementCarriesTheRawArtifact) {
   Rng rng(1);
   const BiosensorModel sensor = glucose_sensor();
-  const Measurement m = sensor.measure(
+  const Measurement m = sensor.try_measure(
       chem::calibration_sample("glucose", Concentration::milli_molar(0.5)),
-      rng);
+      rng).value();
   EXPECT_EQ(m.technique, Technique::kChronoamperometry);
   EXPECT_GT(m.trace.size(), 100u);
   EXPECT_TRUE(m.voltammogram.empty());
@@ -35,10 +36,10 @@ TEST(Sensor, MeasurementCarriesTheRawArtifact) {
 TEST(Sensor, VoltammetricMeasurementCarriesVoltammogramAndPeak) {
   Rng rng(1);
   const BiosensorModel sensor = cp_sensor();
-  const Measurement m = sensor.measure(
+  const Measurement m = sensor.try_measure(
       chem::calibration_sample("cyclophosphamide",
                                Concentration::micro_molar(40.0)),
-      rng);
+      rng).value();
   EXPECT_EQ(m.technique, Technique::kCyclicVoltammetry);
   EXPECT_TRUE(m.trace.empty());
   EXPECT_GT(m.voltammogram.size(), 100u);
@@ -61,7 +62,7 @@ TEST(Sensor, NoisyMeasurementScattersAroundIdeal) {
   Rng rng(42);
   std::vector<double> responses;
   for (int i = 0; i < 40; ++i) {
-    responses.push_back(sensor.measure(s, rng).response_a);
+    responses.push_back(sensor.try_measure(s, rng).value().response_a);
   }
   const double m = mean(responses);
   const double sd = sample_stddev(responses);
@@ -76,8 +77,8 @@ TEST(Sensor, SameSeedReproducesExactly) {
   const chem::Sample s =
       chem::calibration_sample("glucose", Concentration::milli_molar(0.5));
   Rng a(7), b(7);
-  EXPECT_DOUBLE_EQ(sensor.measure(s, a).response_a,
-                   sensor.measure(s, b).response_a);
+  EXPECT_DOUBLE_EQ(sensor.try_measure(s, a).value().response_a,
+                   sensor.try_measure(s, b).value().response_a);
 }
 
 TEST(Sensor, ResponseMonotoneInConcentration) {

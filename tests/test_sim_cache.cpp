@@ -134,7 +134,7 @@ TEST(SimCache, ClearDropsEntriesButKeepsCounters) {
 // --- simulation_key sensitivity ------------------------------------
 
 TEST(SimulationKey, MissesWhenAnySpecFieldChanges) {
-  const CatalogEntry base = entry_or_throw("MWCNT/Nafion + GOD (this work)");
+  const CatalogEntry base = try_entry("MWCNT/Nafion + GOD (this work)").value();
   const chem::Sample sample =
       chem::calibration_sample("glucose", Concentration::milli_molar(0.5));
   const CacheKey reference = BiosensorModel(base.spec).simulation_key(sample);
@@ -170,7 +170,7 @@ TEST(SimulationKey, MissesWhenAnySpecFieldChanges) {
 }
 
 TEST(SimulationKey, MissesWhenVoltammetricProtocolChanges) {
-  const CatalogEntry base = entry_or_throw("MWCNT + CYP (cyclophosphamide)");
+  const CatalogEntry base = try_entry("MWCNT + CYP (cyclophosphamide)").value();
   const chem::Sample sample = chem::calibration_sample(
       "cyclophosphamide", Concentration::micro_molar(40.0));
   const CacheKey reference = BiosensorModel(base.spec).simulation_key(sample);
@@ -193,7 +193,7 @@ TEST(SimulationKey, MissesWhenVoltammetricProtocolChanges) {
 }
 
 TEST(SimulationKey, MissesWhenTheSampleChanges) {
-  const CatalogEntry base = entry_or_throw("MWCNT/Nafion + GOD (this work)");
+  const CatalogEntry base = try_entry("MWCNT/Nafion + GOD (this work)").value();
   const BiosensorModel model(base.spec);
   const chem::Sample sample =
       chem::calibration_sample("glucose", Concentration::milli_molar(0.5));
@@ -227,8 +227,8 @@ TEST(SimulationKey, MissesWhenTheSampleChanges) {
 
 Platform small_platform() {
   Platform p;
-  p.add_sensor(entry_or_throw("MWCNT/Nafion + GOD (this work)"));
-  p.add_sensor(entry_or_throw("MWCNT + CYP (cyclophosphamide)"));
+  p.add_sensor(try_entry("MWCNT/Nafion + GOD (this work)").value());
+  p.add_sensor(try_entry("MWCNT + CYP (cyclophosphamide)").value());
   return p;
 }
 
@@ -261,7 +261,7 @@ class SimCachePanels : public ::testing::Test {
   void SetUp() override {
     platform_ = small_platform();
     Rng rng(2012);
-    platform_.calibrate_all(rng, quick_options());
+    platform_.try_calibrate_all(rng, quick_options()).value();
 
     // Six distinct compositions, each presented twice — so even a cold
     // batch exercises cache hits, like repeated patients in a cohort.

@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "chem/species.hpp"
-#include "common/error.hpp"
+#include "common/expected.hpp"
 
 namespace biosens::chem {
 namespace {
@@ -23,13 +23,13 @@ TEST(Species, RegistryContainsInterferentsAndMediators) {
 }
 
 TEST(Species, KindsAreClassified) {
-  EXPECT_EQ(species_or_throw("glucose").kind, SpeciesKind::kMetabolite);
-  EXPECT_EQ(species_or_throw("cyclophosphamide").kind, SpeciesKind::kDrug);
-  EXPECT_EQ(species_or_throw("arachidonic acid").kind,
+  EXPECT_EQ(try_species("glucose").value()->kind, SpeciesKind::kMetabolite);
+  EXPECT_EQ(try_species("cyclophosphamide").value()->kind, SpeciesKind::kDrug);
+  EXPECT_EQ(try_species("arachidonic acid").value()->kind,
             SpeciesKind::kFattyAcid);
-  EXPECT_EQ(species_or_throw("ascorbic acid").kind,
+  EXPECT_EQ(try_species("ascorbic acid").value()->kind,
             SpeciesKind::kInterferent);
-  EXPECT_EQ(species_or_throw("oxygen").kind, SpeciesKind::kMediator);
+  EXPECT_EQ(try_species("oxygen").value()->kind, SpeciesKind::kMediator);
 }
 
 TEST(Species, DiffusivitiesAreSmallMoleculeScale) {
@@ -48,7 +48,7 @@ TEST(Species, PhysiologicalWindowsAreOrdered) {
 }
 
 TEST(Species, GlucoseWindowIsClinical) {
-  const Species& g = species_or_throw("glucose");
+  const Species& g = *try_species("glucose").value();
   // Normal fasting glycemia ~3.9-7.1 mM.
   EXPECT_NEAR(g.physiological_low.milli_molar(), 3.9, 0.5);
   EXPECT_NEAR(g.physiological_high.milli_molar(), 7.1, 0.5);
@@ -56,7 +56,9 @@ TEST(Species, GlucoseWindowIsClinical) {
 
 TEST(Species, UnknownLookups) {
   EXPECT_FALSE(find_species("unobtainium").has_value());
-  EXPECT_THROW(species_or_throw("unobtainium"), SpecError);
+  const auto unknown = try_species("unobtainium");
+  ASSERT_FALSE(unknown.has_value());
+  EXPECT_EQ(unknown.error().code, ErrorCode::kSpec);
 }
 
 TEST(Species, KindNames) {

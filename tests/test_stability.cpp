@@ -12,7 +12,7 @@ namespace biosens::core {
 namespace {
 
 SensorSpec glucose_spec() {
-  return entry_or_throw("MWCNT/Nafion + GOD (this work)").spec;
+  return try_entry("MWCNT/Nafion + GOD (this work)").value().spec;
 }
 
 TEST(Stability, FreshSensorRetainsEverything) {
@@ -49,8 +49,8 @@ TEST(Stability, RecalibrationIntervalMatchesDecay) {
 TEST(Stability, LifetimeLongerForCovalentImmobilization) {
   SensorSpec adsorbed = glucose_spec();
   SensorSpec covalent = glucose_spec();
-  covalent.assembly.immobilization = electrode::immobilization_defaults(
-      electrode::ImmobilizationMethod::kCovalent);
+  covalent.assembly.immobilization = electrode::try_immobilization_defaults(
+      electrode::ImmobilizationMethod::kCovalent).value();
   covalent.assembly.loading_monolayers = std::min(
       covalent.assembly.loading_monolayers,
       covalent.assembly.immobilization.max_monolayers);

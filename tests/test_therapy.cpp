@@ -44,7 +44,7 @@ TEST(Pk, RejectsNonPhysical) {
 class TherapyFixture : public ::testing::Test {
  protected:
   TherapyFixture()
-      : entry_(entry_or_throw("MWCNT + CYP (cyclophosphamide)")),
+      : entry_(try_entry("MWCNT + CYP (cyclophosphamide)").value()),
         sensor_(entry_.spec) {
     // Calibrate once to get the response->concentration mapping.
     Rng rng(11);
@@ -52,11 +52,11 @@ class TherapyFixture : public ::testing::Test {
     options.blank_repeats = 8;
     options.replicates = 1;
     const CalibrationProtocol protocol(options);
-    const auto outcome = protocol.run(
+    const auto outcome = protocol.try_run(
         sensor_,
         standard_series(entry_.published.range_low,
                         entry_.published.range_high),
-        rng);
+        rng).value();
     slope_ = outcome.result.fit.slope;
     intercept_ = outcome.result.fit.intercept;
   }
@@ -146,7 +146,7 @@ TEST_F(TherapyFixture, RejectsBadCourses) {
 
 TEST_F(TherapyFixture, MonitorRequiresVoltammetricSensor) {
   const BiosensorModel glucose(
-      entry_or_throw("MWCNT/Nafion + GOD (this work)").spec);
+      try_entry("MWCNT/Nafion + GOD (this work)").value().spec);
   EXPECT_THROW(TherapyMonitor(glucose, 1e-6, 0.0,
                               Concentration::micro_molar(20.0),
                               Concentration::micro_molar(50.0),

@@ -93,14 +93,19 @@ TEST(ThreadPool, ShutdownNowReportsDiscardedTasksDeterministically) {
   std::atomic<std::size_t> completed{0};
   std::promise<void> gate;
   std::shared_future<void> release = gate.get_future().share();
+  std::promise<void> started;
 
   ThreadPool pool(1, kQueued + 1);
-  // The single worker blocks inside the first task, so the next kQueued
-  // submissions are provably still queued when shutdown_now() clears.
-  pool.submit([&completed, release] {
+  // The single worker blocks inside the first task. Waiting until that
+  // task has started means the worker has taken it off the queue, so the
+  // next kQueued submissions are provably still queued when
+  // shutdown_now() clears.
+  pool.submit([&completed, &started, release] {
+    started.set_value();
     release.wait();
     completed.fetch_add(1, std::memory_order_relaxed);
   });
+  started.get_future().wait();
   for (std::size_t i = 0; i < kQueued; ++i) {
     pool.submit([&completed] {
       completed.fetch_add(1, std::memory_order_relaxed);

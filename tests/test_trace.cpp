@@ -3,7 +3,7 @@
 
 #include <cmath>
 
-#include "common/error.hpp"
+#include "common/expected.hpp"
 #include "electrochem/trace.hpp"
 #include "readout/chain.hpp"
 
@@ -19,24 +19,26 @@ TEST(TimeSeriesContainer, PushAndTailMean) {
   for (int i = 1; i <= 10; ++i) t.push(0.1 * i, static_cast<double>(i));
   EXPECT_EQ(t.size(), 10u);
   // Tail 20% = last 2 samples: mean(9, 10) = 9.5.
-  EXPECT_DOUBLE_EQ(t.tail_mean_a(0.2), 9.5);
+  EXPECT_DOUBLE_EQ(t.try_tail_mean_a(0.2).value(), 9.5);
   // Full-trace mean.
-  EXPECT_DOUBLE_EQ(t.tail_mean_a(1.0), 5.5);
+  EXPECT_DOUBLE_EQ(t.try_tail_mean_a(1.0).value(), 5.5);
 }
 
 TEST(TimeSeriesContainer, TinyFractionFallsBackToLastSample) {
   TimeSeries t;
   for (int i = 1; i <= 5; ++i) t.push(0.1 * i, static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(t.tail_mean_a(1e-6), 5.0);
+  EXPECT_DOUBLE_EQ(t.try_tail_mean_a(1e-6).value(), 5.0);
 }
 
 TEST(TimeSeriesContainer, TailMeanValidation) {
   TimeSeries empty;
-  EXPECT_THROW(empty.tail_mean_a(0.1), AnalysisError);
   TimeSeries t;
   t.push(0.0, 1.0);
-  EXPECT_THROW(t.tail_mean_a(0.0), AnalysisError);
-  EXPECT_THROW(t.tail_mean_a(1.5), AnalysisError);
+  for (const auto& tail : {empty.try_tail_mean_a(0.1), t.try_tail_mean_a(0.0),
+                           t.try_tail_mean_a(1.5)}) {
+    ASSERT_FALSE(tail.has_value());
+    EXPECT_EQ(tail.error().code, ErrorCode::kAnalysis);
+  }
 }
 
 TEST(VoltammogramContainer, PushTracksBranches) {
@@ -55,7 +57,7 @@ class AutorangeSweep : public ::testing::TestWithParam<double> {};
 TEST_P(AutorangeSweep, SignalFitsWithHeadroom) {
   const double amps = GetParam();
   const readout::ChainConfig config =
-      readout::SignalChain::for_full_scale(Current::amps(amps));
+      readout::SignalChain::try_for_full_scale(Current::amps(amps)).value();
   const double v = amps * config.tia.feedback().ohms();
   EXPECT_LE(v, 0.6 * 1.2 + 1e-12);
   // And the next decade up would overflow the headroom (unless already
@@ -75,7 +77,7 @@ TEST(Autorange, OverLargeSignalsGetTheMinimumGain) {
   // Beyond the measurable span the chain falls back to its lowest gain
   // and the rails clip — the QC layer, not the gain ladder, owns that.
   const readout::ChainConfig config =
-      readout::SignalChain::for_full_scale(Current::amps(1e-3));
+      readout::SignalChain::try_for_full_scale(Current::amps(1e-3)).value();
   EXPECT_DOUBLE_EQ(config.tia.feedback().ohms(), 1e4);
 }
 
@@ -85,8 +87,10 @@ class ChainFidelity : public ::testing::TestWithParam<double> {};
 
 TEST_P(ChainFidelity, CleanSignalReconstructedWithinHalfPercent) {
   const double amps = GetParam();
-  const readout::SignalChain chain(
-      readout::SignalChain::for_full_scale(Current::amps(2.0 * amps)));
+  const readout::SignalChain chain =
+      readout::SignalChain::try_for_full_scale(Current::amps(2.0 * amps))
+          .and_then(readout::SignalChain::try_create)
+          .value();
   readout::NoiseSpec quiet;
   quiet.electrode_lf_rms = Current{};
   quiet.white_density_a_per_sqrt_hz = 0.0;
@@ -95,8 +99,8 @@ TEST_P(ChainFidelity, CleanSignalReconstructedWithinHalfPercent) {
   TimeSeries ideal;
   for (int i = 1; i <= 200; ++i) ideal.push(0.025 * i, amps);
   Rng rng(3);
-  const TimeSeries out = chain.acquire(ideal, quiet, rng);
-  EXPECT_NEAR(out.tail_mean_a(0.25), amps, 0.005 * amps);
+  const TimeSeries out = chain.try_acquire(ideal, quiet, rng).value();
+  EXPECT_NEAR(out.try_tail_mean_a(0.25).value(), amps, 0.005 * amps);
 }
 
 INSTANTIATE_TEST_SUITE_P(Scales, ChainFidelity,

@@ -18,37 +18,40 @@ TEST(Cottrell, MatchesFormula) {
   const Time t = Time::seconds(1.0);
   const double expected = n * constants::kFaraday * 1.0 *
                           std::sqrt(1e-9 / std::numbers::pi);
-  EXPECT_NEAR(cottrell_current_density(n, d, c, t).amps_per_m2(), expected,
-              expected * 1e-12);
+  EXPECT_NEAR(try_cottrell_current_density(n, d, c, t).value().amps_per_m2(),
+              expected, expected * 1e-12);
 }
 
 TEST(Cottrell, DecaysAsInverseSqrtTime) {
   const Diffusivity d = Diffusivity::cm2_per_s(6.7e-6);
   const Concentration c = Concentration::milli_molar(5.0);
-  const double j1 =
-      cottrell_current_density(2, d, c, Time::seconds(1.0)).amps_per_m2();
-  const double j4 =
-      cottrell_current_density(2, d, c, Time::seconds(4.0)).amps_per_m2();
+  const double j1 = try_cottrell_current_density(2, d, c, Time::seconds(1.0))
+                        .value()
+                        .amps_per_m2();
+  const double j4 = try_cottrell_current_density(2, d, c, Time::seconds(4.0))
+                        .value()
+                        .amps_per_m2();
   EXPECT_NEAR(j1 / j4, 2.0, 1e-9);
 }
 
 TEST(Cottrell, RejectsNonPositiveTime) {
-  EXPECT_THROW(cottrell_current_density(2, Diffusivity::cm2_per_s(1e-5),
-                                        Concentration::milli_molar(1.0),
-                                        Time::seconds(0.0)),
-               NumericsError);
+  const auto at_step = try_cottrell_current_density(
+      2, Diffusivity::cm2_per_s(1e-5), Concentration::milli_molar(1.0),
+      Time::seconds(0.0));
+  ASSERT_FALSE(at_step.has_value());
+  EXPECT_EQ(at_step.error().code, ErrorCode::kNumerics);
 }
 
 TEST(LimitingCurrent, LinearInConcentrationAndInverseDelta) {
   const Diffusivity d = Diffusivity::cm2_per_s(1e-5);
-  const double j1 = limiting_current_density(
-                        2, d, Concentration::milli_molar(1.0), 25e-6)
+  const double j1 = try_limiting_current_density(
+                        2, d, Concentration::milli_molar(1.0), 25e-6).value()
                         .amps_per_m2();
-  const double j2 = limiting_current_density(
-                        2, d, Concentration::milli_molar(2.0), 25e-6)
+  const double j2 = try_limiting_current_density(
+                        2, d, Concentration::milli_molar(2.0), 25e-6).value()
                         .amps_per_m2();
-  const double j3 = limiting_current_density(
-                        2, d, Concentration::milli_molar(1.0), 50e-6)
+  const double j3 = try_limiting_current_density(
+                        2, d, Concentration::milli_molar(1.0), 50e-6).value()
                         .amps_per_m2();
   EXPECT_NEAR(j2 / j1, 2.0, 1e-12);
   EXPECT_NEAR(j1 / j3, 2.0, 1e-12);

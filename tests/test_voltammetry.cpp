@@ -19,12 +19,12 @@ electrode::EffectiveLayer cyp_layer(double loading = 0.4) {
   electrode::Assembly a;
   a.geometry = electrode::screen_printed_electrode();
   a.modification = electrode::mwcnt_chloroform();
-  a.immobilization = electrode::immobilization_defaults(
-      electrode::ImmobilizationMethod::kAdsorption);
-  a.enzyme = chem::enzyme_or_throw("CYP2B6");
+  a.immobilization = electrode::try_immobilization_defaults(
+      electrode::ImmobilizationMethod::kAdsorption).value();
+  a.enzyme = *chem::try_enzyme("CYP2B6").value();
   a.substrate = "cyclophosphamide";
   a.loading_monolayers = loading;
-  return electrode::synthesize(a);
+  return electrode::try_synthesize(a).value();
 }
 
 VoltammetrySim make_sim(Concentration drug) {
@@ -52,21 +52,23 @@ TEST(RandlesSevcik, FormulaAndScaling) {
 }
 
 TEST(Voltammetry, HysteresisLoopExists) {
-  const Voltammogram vg = make_sim(Concentration::micro_molar(40.0)).run();
+  const Voltammogram vg =
+      make_sim(Concentration::micro_molar(40.0)).try_run().value();
   ASSERT_GT(vg.size(), 100u);
-  EXPECT_GT(analysis::hysteresis_area(vg), 0.0);
+  EXPECT_GT(analysis::try_hysteresis_area(vg).value(), 0.0);
   // Forward branch is the cathodic one (sweep starts at +0.2 V).
   EXPECT_GT(vg.potential_v.front(), vg.potential_v[vg.turning_index - 1]);
 }
 
 TEST(Voltammetry, CathodicAndAnodicPeaksNearFormalPotential) {
-  const Voltammogram vg = make_sim(Concentration::micro_molar(40.0)).run();
-  const auto cathodic = analysis::find_cathodic_peak(vg);
-  const auto anodic = analysis::find_anodic_peak(vg);
+  const Voltammogram vg =
+      make_sim(Concentration::micro_molar(40.0)).try_run().value();
+  const auto cathodic = analysis::try_find_cathodic_peak(vg).value();
+  const auto anodic = analysis::try_find_anodic_peak(vg).value();
   ASSERT_TRUE(cathodic.has_value());
   ASSERT_TRUE(anodic.has_value());
   const double e0 =
-      chem::enzyme_or_throw("CYP2B6").formal_potential.volts();
+      chem::try_enzyme("CYP2B6").value()->formal_potential.volts();
   EXPECT_NEAR(cathodic->potential_v, e0, 0.15);
   EXPECT_NEAR(anodic->potential_v, e0, 0.15);
   // Cathodic peak carries the catalytic current on top of the bell.
@@ -76,8 +78,8 @@ TEST(Voltammetry, CathodicAndAnodicPeaksNearFormalPotential) {
 TEST(Voltammetry, PeakHeightGrowsLinearlyAtLowConcentration) {
   // "The peak height is proportional to drug concentration."
   const auto height = [&](double um) {
-    const auto peak = analysis::find_cathodic_peak(
-        make_sim(Concentration::micro_molar(um)).run());
+    const auto peak = analysis::try_find_cathodic_peak(
+        make_sim(Concentration::micro_molar(um)).try_run().value()).value();
     return peak.has_value() ? peak->height_a : 0.0;
   };
   const double h0 = height(0.0);
@@ -116,14 +118,14 @@ TEST(Voltammetry, CatalyticPeakDensityCappedByTransport) {
   const VoltammetrySim sim = make_sim(Concentration::micro_molar(40.0));
   const electrode::EffectiveLayer layer = cyp_layer();
   const Concentration c = Concentration::micro_molar(40.0);
-  const double kin =
-      layer.catalytic_current_density(c).amps_per_m2();
+  const chem::MichaelisMenten mm = layer.try_kinetics().value();
+  const double kin = layer.catalytic_current_density(mm, c).amps_per_m2();
   const double rs =
       randles_sevcik_density(layer.electrons, layer.substrate_diffusivity,
                              c, ScanRate::millivolts_per_second(50.0))
           .amps_per_m2() *
       layer.area_enhancement;
-  const double combined = sim.catalytic_peak_density(c).amps_per_m2();
+  const double combined = sim.catalytic_peak_density(mm, c).amps_per_m2();
   EXPECT_LT(combined, kin);
   EXPECT_LT(combined, rs);
   EXPECT_NEAR(combined, kin * rs / (kin + rs), 1e-9 * combined);
@@ -135,7 +137,7 @@ TEST(Voltammetry, CapacitiveBoxScalesWithSweepRate) {
   VoltammetryOptions opts;
   opts.include_interferents = false;
   const VoltammetrySim sim(std::move(cell), standard_cyp_sweep(), opts);
-  const Voltammogram vg = sim.run();
+  const Voltammogram vg = sim.try_run().value();
   // Far from the redox couple (at the positive end of both branches) the
   // current is the +/- capacitive box.
   const double i_fwd = vg.current_a[1];
@@ -148,8 +150,9 @@ TEST(Voltammetry, CapacitiveBoxScalesWithSweepRate) {
 TEST(Voltammetry, BlankStillShowsProteinRedoxPeak) {
   // Even without drug, the immobilized heme produces a peak pair — the
   // calibration intercept of the CYP sensors.
-  const auto peak =
-      analysis::find_cathodic_peak(make_sim(Concentration{}).run());
+  const auto peak = analysis::try_find_cathodic_peak(
+                        make_sim(Concentration{}).try_run().value())
+                        .value();
   ASSERT_TRUE(peak.has_value());
   EXPECT_GT(peak->height_a, 0.0);
 }

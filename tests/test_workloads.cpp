@@ -74,9 +74,9 @@ TEST(Laviron, RoundTripWithTheSimulatorModel) {
   // Generate (nu, dEp) points from the simulator's own Laviron law and
   // recover k_s.
   const CatalogEntry entry =
-      entry_or_throw("MWCNT + CYP (cyclophosphamide)");
+      try_entry("MWCNT + CYP (cyclophosphamide)").value();
   const electrode::EffectiveLayer layer =
-      electrode::synthesize(entry.spec.assembly);
+      electrode::try_synthesize(entry.spec.assembly).value();
   const double true_ks = layer.electron_transfer_rate.per_second();
 
   std::vector<ScanRate> rates;

@@ -11,7 +11,7 @@ cannot see:
                         (common/annotations.hpp) must not transitively
                         reach heap allocation, std::function
                         construction, exception rematerialization
-                        (throw / ErrorInfo::raise / value_or_throw) or
+                        (throw / ErrorInfo::raise / Expected::value) or
                         mutex acquisition. Functions in src/obs/ (spans
                         are one relaxed atomic when disabled) and the
                         audited precondition guard `require` are the

@@ -3,6 +3,7 @@
 // guard) that must stay silent.
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <mutex>
 
 namespace fix {
@@ -48,6 +49,19 @@ int with_callback(int v) {
 
 BIOSENS_HOT int hot_function_path(int v) {
   return with_callback(v);
+}
+
+// Allocation directly in the annotated body, no hop below the root.
+BIOSENS_HOT double hot_direct_new(std::size_t n) {
+  double* p = new double[n];
+  const double v = p[0];
+  delete[] p;
+  return v;
+}
+
+BIOSENS_HOT double hot_direct_make_unique(std::size_t n) {
+  auto p = std::make_unique<double[]>(n);
+  return p[0];
 }
 
 // Negative: the same allocation pattern under a suppression on the

@@ -20,8 +20,6 @@ Checks (check-id -> invariant):
                           Expected result consumed
   nodiscard-decl          every try_* declaration returning Expected<T>
                           carries [[nodiscard]]
-  hot-path-discipline     no std::function construction or heap
-                          allocation inside BIOSENS_HOT functions
   service-discipline      unbounded growth primitives (push_back,
                           emplace_back, push/emplace_front, .push(,
                           thread detach) confined to
@@ -574,79 +572,6 @@ class NodiscardDecl(Check):
         return out
 
 
-class HotPathDiscipline(Check):
-    """Functions annotated BIOSENS_HOT are the per-step kernels: no
-    std::function construction, no heap allocation inside them."""
-
-    check_id = "hot-path-discipline"
-    BANNED_CALLS = {"make_unique", "make_shared", "malloc", "calloc",
-                    "realloc"}
-
-    def run(self, src: SourceFile) -> list:
-        out = []
-        toks = src.tokens
-        i = 0
-        while i < len(toks):
-            if toks[i].kind != IDENT or toks[i].text != "BIOSENS_HOT":
-                i += 1
-                continue
-            body_open = self._find_body(toks, i + 1)
-            if body_open == -1:
-                i += 1
-                continue
-            body_close = match_forward(toks, body_open, "{", "}")
-            if body_close == -1:
-                body_close = len(toks) - 1
-            out.extend(self._scan_body(src, toks, body_open, body_close))
-            i = body_close + 1
-        return out
-
-    @staticmethod
-    def _find_body(toks: list, start: int) -> int:
-        """First '{' at bracket depth 0 after the annotation — the
-        function body (skips parameter lists, template argument lists,
-        noexcept clauses, member initializers)."""
-        depth = 0
-        for j in range(start, min(start + 4096, len(toks))):
-            t = toks[j].text
-            if t in ("(", "["):
-                depth += 1
-            elif t in (")", "]"):
-                depth -= 1
-            elif t == "{" and depth == 0:
-                if j > start and toks[j - 1].text == "=":
-                    continue  # default argument `= {}`
-                return j
-            elif t == ";" and depth == 0:
-                return -1  # declaration only; body lives elsewhere
-        return -1
-
-    def _scan_body(self, src, toks, lo, hi) -> list:
-        out = []
-        for j in range(lo, hi + 1):
-            tok = toks[j]
-            if tok.kind != IDENT:
-                continue
-            if tok.text == "function" and j >= 2 and \
-                    toks[j - 1].text == "::" and toks[j - 2].text == "std":
-                out.append(Finding(
-                    src.path, tok.line, self.check_id,
-                    "std::function in a BIOSENS_HOT body — take the "
-                    "callable as a template parameter so it inlines"))
-            elif tok.text == "new":
-                out.append(Finding(
-                    src.path, tok.line, self.check_id,
-                    "operator new in a BIOSENS_HOT body — hot kernels "
-                    "must reuse caller-owned buffers"))
-            elif tok.text in self.BANNED_CALLS and j + 1 <= hi and \
-                    toks[j + 1].text in ("(", "<"):
-                out.append(Finding(
-                    src.path, tok.line, self.check_id,
-                    f"'{tok.text}' allocates in a BIOSENS_HOT body — "
-                    "hot kernels must reuse caller-owned buffers"))
-        return out
-
-
 class ServiceDiscipline(Check):
     """src/service/ is the resident, admission-controlled layer: every
     queue must be bounded so a tenant burst degrades into structured
@@ -779,7 +704,7 @@ class StaleSuppression:
 
 ALL_CHECKS = [ThrowDiscipline(), SpanTemporary(),
               DeterminismDiscipline(), ExpectedDiscard(), NodiscardDecl(),
-              HotPathDiscipline(), ServiceDiscipline(),
+              ServiceDiscipline(),
               TransducerDiscipline(), RecorderDiscipline(),
               StaleSuppression()]
 CHECK_IDS = {c.check_id for c in ALL_CHECKS}

@@ -17,7 +17,7 @@ Expected<double> fixture_consumed_anyway() {
 
 double fixture_no_banned_primitive() {
   // Neither named check has anything to say about plain arithmetic.
-  // biosens-lint: allow(determinism-discipline, hot-path-discipline)
+  // biosens-lint: allow(determinism-discipline, throw-discipline)
   return 2.0 * 21.0;
 }
 
