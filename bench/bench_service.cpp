@@ -61,7 +61,6 @@ LoadResult run_load(std::size_t workers, std::size_t sessions,
                     std::size_t rounds) {
   service::ServiceOptions options;
   options.workers = workers;
-  options.shards = 8;
   // Sized so admission never rejects: this bench measures sustained
   // throughput, not the backpressure path (tests cover that).
   options.max_pending_per_session = rounds + 1;

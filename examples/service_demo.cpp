@@ -288,7 +288,6 @@ DayOutcome run_day(const DemoConfig& config, bool interrupted,
                    bool verbose, IntrospectLog* introspect) {
   service::ServiceOptions options;
   options.workers = 4;
-  options.shards = 4;
   // Deliberately shallow so backpressure is observable in the demo.
   options.max_pending_per_session = 8;
   service::SimulationService svc(options);

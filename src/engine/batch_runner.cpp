@@ -46,11 +46,9 @@ void run_one_job(Engine& engine, const JobSpec& job, std::size_t index,
   out.kind = job.kind;
 
   // Flight-recorder attribution: engine jobs have no tenant, so the
-  // job name fills that slot; the watchdog flags jobs past the soft
-  // deadline (no-ops unless EngineOptions enabled it).
+  // job name fills that slot.
   const obs::FlightRecorder::ScopedContext recorder_context(job.name,
                                                             index);
-  const obs::Watchdog::Scoped watchdog_guard(engine.watchdog(), job.name);
   const obs::ObsSpan job_span(Layer::kEngine, "job", job.name);
   const Stopwatch job_watch;
   const Rng job_rng = root.child(index);

@@ -4,8 +4,6 @@ namespace biosens::engine {
 
 Engine::Engine(EngineOptions options)
     : options_(options),
-      watchdog_(obs::WatchdogOptions{options.watchdog_soft_deadline_s,
-                                     4096}),
       sampler_(
           [this] {
             obs::MetricsSample sample;
@@ -19,8 +17,7 @@ Engine::Engine(EngineOptions options)
                     .value();
             sample.queue_p99_s = metrics_.queue_wait.quantile(0.99);
             return sample;
-          },
-          obs::MetricsSamplerOptions{options.sampler_window, 0.0}) {
+          }) {
   if (options_.workers > 0) {
     pool_ = std::make_unique<ThreadPool>(options_.workers,
                                          options_.queue_capacity);
@@ -46,19 +43,11 @@ obs::IntrospectionReport Engine::introspection_report() {
   obs::IntrospectionReport report;
   report.component = "engine";
   const MetricsSnapshot s = snapshot();
-  report.in_flight = watchdog_.enabled()
-                         ? static_cast<std::uint64_t>(watchdog_.in_flight())
-                         : 0;
   obs::HealthInputs inputs;
   inputs.failed = s.jobs_failed;
   inputs.finished = s.jobs_succeeded + s.jobs_failed;
-  inputs.watchdog_overdue = watchdog_.overdue().size();
-  inputs.watchdog_trips = watchdog_.trips();
-  report.health = obs::evaluate_health(inputs, options_.health);
+  report.health = obs::evaluate_health(inputs);
   report.rates = sampler_.rates();
-  report.watchdog_soft_deadline_s = watchdog_.soft_deadline_s();
-  report.watchdog_overdue = inputs.watchdog_overdue;
-  report.watchdog_trips = inputs.watchdog_trips;
   obs::fill_recorder_stats(report);
   return report;
 }

@@ -43,14 +43,6 @@ struct EngineOptions {
   /// per-field path — so it defaults on; disable to benchmark the
   /// serial reference.
   bool cohort_batching = true;
-  /// Soft deadline per job for the engine watchdog; 0 disables it (the
-  /// default — batch runs are finite, residents opt in). Observation
-  /// only: an overdue job is reported, never cancelled.
-  double watchdog_soft_deadline_s = 0.0;
-  /// Thresholds introspection_report() applies (docs/operations.md).
-  obs::HealthPolicy health;
-  /// Sliding window of the engine's metrics sampler (samples kept).
-  std::size_t sampler_window = 64;
 };
 
 class Engine {
@@ -84,16 +76,10 @@ class Engine {
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
 
-  /// The per-job soft-deadline watchdog (disabled unless
-  /// EngineOptions::watchdog_soft_deadline_s > 0).
-  [[nodiscard]] obs::Watchdog& watchdog() { return watchdog_; }
-
-  /// The engine's sliding metrics window (one sample per run()).
-  [[nodiscard]] obs::MetricsSampler& sampler() { return sampler_; }
-
-  /// Live health + rates + watchdog/recorder state, machine-readable
-  /// (obs/health.hpp; schema in docs/operations.md). Takes a fresh
-  /// metrics sample so the reported rates end "now".
+  /// Live health + rates + recorder state, machine-readable
+  /// (obs/health.hpp; schema in docs/operations.md). Batch runs are
+  /// finite, so the engine has no watchdog and its watchdog fields stay
+  /// zero. Takes a fresh metrics sample so the reported rates end "now".
   [[nodiscard]] obs::IntrospectionReport introspection_report();
 
   /// Metrics frozen over the wall-clock window since construction or
@@ -114,7 +100,7 @@ class Engine {
   MetricsRegistry metrics_;
   std::unique_ptr<SimCache> sim_cache_;
   Stopwatch window_;
-  obs::Watchdog watchdog_;
+  /// Sliding metrics window: one sample per run(), 64 samples kept.
   obs::MetricsSampler sampler_;
 };
 

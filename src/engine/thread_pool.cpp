@@ -7,7 +7,7 @@
 namespace biosens::engine {
 
 ThreadPool::ThreadPool(std::size_t workers, std::size_t queue_capacity)
-    : queue_(queue_capacity) {
+    : capacity_(queue_capacity) {
   require<SpecError>(workers >= 1, "thread pool needs at least one worker");
   require<SpecError>(queue_capacity >= 1,
                      "thread pool queue capacity must be >= 1");
@@ -19,37 +19,16 @@ ThreadPool::ThreadPool(std::size_t workers, std::size_t queue_capacity)
 
 ThreadPool::~ThreadPool() { shutdown(); }
 
-void ThreadPool::submit(std::function<void()>&& task,
-                        TaskPriority priority) {
+void ThreadPool::submit(std::function<void()>&& task) {
   require<SpecError>(static_cast<bool>(task), "cannot submit an empty task");
   std::unique_lock<std::mutex> lock(mutex_);
-  queue_not_full_.wait(lock, [this] {
-    return shutting_down_ || queue_.size() < queue_.capacity();
-  });
+  queue_not_full_.wait(
+      lock, [this] { return shutting_down_ || queue_.size() < capacity_; });
   require<SpecError>(!shutting_down_,
                      "cannot submit to a shut-down thread pool");
-  const bool pushed = queue_.push(std::move(task), priority);
-  require<SpecError>(pushed, "queue rejected a push below capacity");
+  queue_.push_back(std::move(task));
   lock.unlock();
   queue_not_empty_.notify_one();
-}
-
-bool ThreadPool::try_submit(std::function<void()>&& task,
-                            TaskPriority priority) {
-  require<SpecError>(static_cast<bool>(task), "cannot submit an empty task");
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    require<SpecError>(!shutting_down_,
-                       "cannot submit to a shut-down thread pool");
-    if (!queue_.push(std::move(task), priority)) return false;
-  }
-  queue_not_empty_.notify_one();
-  return true;
-}
-
-void ThreadPool::drain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
 void ThreadPool::shutdown() {
@@ -66,35 +45,6 @@ void ThreadPool::shutdown() {
   workers_.clear();
 }
 
-std::size_t ThreadPool::shutdown_now() {
-  std::size_t dropped = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!(shutting_down_ && workers_.empty())) {
-      shutting_down_ = true;
-      discard_queued_ = true;
-      dropped = queue_.clear();
-    }
-  }
-  queue_not_empty_.notify_all();
-  queue_not_full_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
-  return dropped;
-}
-
-std::size_t ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
-std::size_t ThreadPool::active() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return active_;
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
@@ -102,20 +52,12 @@ void ThreadPool::worker_loop() {
       std::unique_lock<std::mutex> lock(mutex_);
       queue_not_empty_.wait(
           lock, [this] { return shutting_down_ || !queue_.empty(); });
-      if (queue_.empty() || discard_queued_) {
-        // Shutting down: drained (shutdown) or discarding (shutdown_now).
-        return;
-      }
-      task = queue_.pop();
-      ++active_;
+      if (queue_.empty()) return;  // shutting down and drained
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
     queue_not_full_.notify_one();
     task();  // exceptions are the submitter's contract: tasks must not throw
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_.notify_all();
-    }
   }
 }
 

@@ -1,30 +1,20 @@
-// Fixed-size worker pool over a bounded two-lane (priority) task queue.
+// Fixed-size worker pool over one bounded FIFO task queue.
 //
-// The execution substrate of the batch engine and the simulation
-// service: N workers drain one bounded TwoLaneTaskQueue of type-erased
-// tasks, high-priority lane first. The queue bound gives natural
-// backpressure — submit() blocks the producer when the instrument
-// pipeline is saturated instead of buffering an unbounded backlog,
-// which is what a service fronting real sensor hardware must do.
-//
-// Three lifecycle verbs (docs/service.md):
-//   drain()        wait until queued + running tasks hit zero; the pool
-//                  keeps accepting work afterwards (quiesce point for
-//                  snapshots).
-//   shutdown()     stop accepting, finish everything queued, join.
-//   shutdown_now() stop accepting, DISCARD everything queued (returning
-//                  the count so callers can report the dropped work),
-//                  finish only in-flight tasks, join.
+// The execution substrate of the batch engine: N workers drain one
+// bounded queue of type-erased tasks in submission order. The queue
+// bound gives natural backpressure — submit() blocks the producer when
+// the instrument pipeline is saturated instead of buffering an
+// unbounded backlog. shutdown() stops accepting, finishes everything
+// queued, and joins.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "engine/task_queue.hpp"
 
 namespace biosens::engine {
 
@@ -44,54 +34,24 @@ class ThreadPool {
   /// Takes the task by rvalue so the callable (and any captured state)
   /// is moved straight into the queue — no copy on the submission path.
   /// Throws SpecError after shutdown().
-  void submit(std::function<void()>&& task,
-              TaskPriority priority = TaskPriority::kNormal);
-
-  /// Non-blocking enqueue; returns false when the queue is full.
-  /// Move-in semantics as submit(). Throws SpecError after shutdown().
-  bool try_submit(std::function<void()>&& task,
-                  TaskPriority priority = TaskPriority::kNormal);
-
-  /// Blocks until the pool is idle: no queued tasks, no running tasks.
-  /// The pool stays fully operational — this is the quiesce point a
-  /// graceful service drain needs before taking session snapshots.
-  /// Tasks submitted concurrently with drain() extend the wait; the
-  /// caller is responsible for stopping producers first.
-  void drain();
+  void submit(std::function<void()>&& task);
 
   /// Stops accepting tasks, finishes everything already queued, joins
   /// the workers. Idempotent; called by the destructor.
   void shutdown();
 
-  /// Stops accepting tasks, discards everything still queued (the tasks
-  /// never run), waits only for in-flight tasks, joins the workers.
-  /// Returns the number of discarded tasks so callers can account for
-  /// every submitted job. Idempotent with shutdown().
-  std::size_t shutdown_now();
-
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
-  [[nodiscard]] std::size_t queue_capacity() const {
-    return queue_.capacity();
-  }
-
-  /// Tasks queued but not yet picked up by a worker.
-  [[nodiscard]] std::size_t pending() const;
-
-  /// Tasks currently executing on a worker.
-  [[nodiscard]] std::size_t active() const;
 
  private:
   void worker_loop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable queue_not_empty_;
   std::condition_variable queue_not_full_;
-  std::condition_variable idle_;
-  TwoLaneTaskQueue queue_;
+  const std::size_t capacity_;
+  std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  std::size_t active_ = 0;
   bool shutting_down_ = false;
-  bool discard_queued_ = false;
 };
 
 }  // namespace biosens::engine

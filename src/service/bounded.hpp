@@ -19,9 +19,7 @@
 namespace biosens::service {
 
 /// A deque with a hard capacity: growth returns false instead of
-/// allocating past the bound. FIFO: push at the back, pop at the front;
-/// push_front exists only to undo a pop (re-queue on a failed dispatch),
-/// which cannot exceed the bound the pop came out of.
+/// allocating past the bound. FIFO: push at the back, pop at the front.
 template <class T>
 class BoundedDeque {
  public:
@@ -33,12 +31,6 @@ class BoundedDeque {
     return true;
   }
 
-  [[nodiscard]] bool try_push_front(T value) {
-    if (items_.size() >= capacity_) return false;
-    items_.push_front(std::move(value));
-    return true;
-  }
-
   /// Requires !empty().
   [[nodiscard]] T pop_front() {
     T value = std::move(items_.front());
@@ -46,7 +38,6 @@ class BoundedDeque {
     return value;
   }
 
-  [[nodiscard]] const T& front() const { return items_.front(); }
   [[nodiscard]] bool empty() const { return items_.empty(); }
   [[nodiscard]] std::size_t size() const { return items_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }

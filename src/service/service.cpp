@@ -2,30 +2,32 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
-#include "engine/thread_pool.hpp"
 #include "obs/export_prometheus.hpp"
 #include "obs/recorder.hpp"
 #include "obs/span.hpp"
-#include "service/bounded.hpp"
 
 namespace biosens::service {
 namespace {
 
 constexpr Layer kLayer = Layer::kService;
 
+/// Hard ceiling on a session's lifetime measurement count (the record
+/// stream is kept for close/snapshot, so it must be bounded too).
+constexpr std::size_t kMaxRecordsPerSession = 1u << 20;
+
 /// Child index of the session-sequential stream. Measurement children
-/// use indices [0, max_records_per_session); this one can never collide.
+/// use indices [0, kMaxRecordsPerSession); this one can never collide.
 constexpr std::uint64_t kSessionStreamChild = ~0ULL;
 
-/// Session ids reserve their low byte for the shard index.
-constexpr std::uint64_t kShardBits = 8;
-constexpr std::uint64_t kShardMask = (1ULL << kShardBits) - 1;
+/// retry_after_s floor, and the hint when no latency data exists yet.
+constexpr double kDefaultRetryAfterS = 0.005;
+
+/// Soft deadline per executing measurement for the watchdog
+/// (introspection only: nothing is cancelled).
+constexpr double kWatchdogSoftDeadlineS = 30.0;
 
 [[nodiscard]] std::size_t idx(PriorityClass cls) {
   return static_cast<std::size_t>(cls);
@@ -70,26 +72,6 @@ struct SimulationService::Request {
   std::chrono::steady_clock::time_point submitted{};
 };
 
-/// Per-tenant scheduling + accounting state, owned by one shard.
-struct SimulationService::TenantState {
-  explicit TenantState(std::size_t session_capacity)
-      : runnable{BoundedDeque<SessionId>(session_capacity),
-                 BoundedDeque<SessionId>(session_capacity)} {}
-
-  /// Sessions with queued work, per priority class, round-robin order.
-  std::array<BoundedDeque<SessionId>, kPriorityClassCount> runnable;
-  std::array<bool, kPriorityClassCount> in_ring{};
-  std::uint64_t pending = 0;  ///< queued + executing (admission budget)
-
-  struct Outcomes {
-    std::uint64_t submitted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t rejected = 0;
-  };
-  std::array<Outcomes, kPriorityClassCount> outcomes{};
-};
-
 struct SimulationService::Session {
   Session(SessionId id_, SessionOptions opts, std::size_t queue_capacity)
       : id(id_),
@@ -124,24 +106,15 @@ struct SimulationService::Session {
   const std::chrono::steady_clock::time_point opened;
 };
 
-struct SimulationService::Shard {
-  explicit Shard(std::size_t tenant_capacity)
-      : ring{BoundedDeque<std::string>(tenant_capacity),
-             BoundedDeque<std::string>(tenant_capacity)} {}
-
-  mutable std::mutex mutex;
-  std::condition_variable idle_cv;
-  std::unordered_map<SessionId, std::unique_ptr<Session>> sessions;
-  std::unordered_map<std::string, TenantState> tenants;
-  /// Round-robin ring of tenants with runnable work, per class.
-  std::array<BoundedDeque<std::string>, kPriorityClassCount> ring;
-  std::uint64_t pending = 0;  ///< queued + executing across the shard
-};
-
 SimulationService::SimulationService(ServiceOptions options)
     : options_(options),
-      watchdog_(obs::WatchdogOptions{options.watchdog_soft_deadline_s,
-                                     4096}),
+      ring_{BoundedDeque<std::string>(
+                std::max<std::size_t>(1, options.max_sessions)),
+            BoundedDeque<std::string>(
+                std::max<std::size_t>(1, options.max_sessions))},
+      watchdog_(obs::WatchdogOptions{kWatchdogSoftDeadlineS}),
+      // The sampler keeps MetricsSamplerOptions' fixed window (64
+      // samples) and rate limit (one passive sample per 0.25 s).
       sampler_(
           [this] {
             obs::MetricsSample sample;
@@ -151,70 +124,50 @@ SimulationService::SimulationService(ServiceOptions options)
               sample.failed += slo.failed.value();
               sample.rejected += slo.rejected.value();
             }
-            sample.queued = pending_total_.load(std::memory_order_relaxed);
+            sample.queued = pending_.load(std::memory_order_relaxed);
             sample.queue_p99_s =
                 slo_[idx(PriorityClass::kInteractive)].queue_wait.quantile(
                     0.99);
             return sample;
-          },
-          obs::MetricsSamplerOptions{options.sampler_window,
-                                     options.sampler_min_period_s}) {
+          }) {
   options_.workers = std::max<std::size_t>(1, options_.workers);
-  options_.shards = std::clamp<std::size_t>(options_.shards, 1, 64);
   options_.max_sessions = std::max<std::size_t>(1, options_.max_sessions);
   options_.max_pending_per_session =
       std::max<std::size_t>(1, options_.max_pending_per_session);
-  if (options_.pool_queue_capacity == 0) {
-    options_.pool_queue_capacity = 2 * options_.workers;
+  // Sized once and assigned in place: no growth call in src/service/.
+  workers_ = std::vector<std::thread>(options_.workers);
+  for (std::thread& worker : workers_) {
+    worker = std::thread([this] { worker_loop(); });
   }
-  shards_.resize(options_.shards);
-  for (auto& shard : shards_) {
-    shard = std::make_unique<Shard>(options_.max_sessions);
-  }
-  // Keep at most workers + queue slots handed to the pool: enough to
-  // saturate every worker, shallow enough that priority decisions stay
-  // in the service's fair scheduler instead of a deep FIFO.
-  dispatch_limit_ = options_.workers + options_.pool_queue_capacity;
-  pool_ = std::make_unique<engine::ThreadPool>(options_.workers,
-                                               options_.pool_queue_capacity);
 }
 
 SimulationService::~SimulationService() {
   draining_.store(true, std::memory_order_relaxed);
   wait_all_idle();
-  pool_->shutdown();
-}
-
-Expected<SimulationService::Shard*> SimulationService::try_shard_of(
-    SessionId id, const char* stage) const {
-  const std::size_t shard_index = static_cast<std::size_t>(id & kShardMask);
-  BIOSENS_EXPECT(id != 0 && shard_index < shards_.size(), ErrorCode::kSpec,
-                 kLayer, stage,
-                 "unknown session id " + std::to_string(id));
-  return shards_[shard_index].get();
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  work_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 Expected<SessionId> SimulationService::insert_session(
     std::unique_ptr<Session> session, const char* stage) {
-  const std::string tenant = session->tenant;
   const SessionId id = session->id;
-  Shard& shard = *shards_[static_cast<std::size_t>(id & kShardMask)];
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const std::uint64_t open =
-        open_sessions_.load(std::memory_order_relaxed);
-    if (open >= options_.max_sessions) {
-      return overloaded<SessionId>(
-          stage,
-          "session table full (" + std::to_string(open) + " of " +
-              std::to_string(options_.max_sessions) + " open)",
-          tenant, options_.default_retry_after_s);
-    }
-    const auto tenant_slot =
-        shard.tenants.try_emplace(tenant, options_.max_sessions);
-    (void)tenant_slot;  // existing tenant entries are reused as-is
-    shard.sessions.emplace(id, std::move(session));
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::uint64_t open = open_sessions_.load(std::memory_order_relaxed);
+  if (open >= options_.max_sessions) {
+    return overloaded<SessionId>(
+        stage,
+        "session table full (" + std::to_string(open) + " of " +
+            std::to_string(options_.max_sessions) + " open)",
+        session->tenant, kDefaultRetryAfterS);
   }
+  const auto tenant_slot =
+      tenants_.try_emplace(session->tenant, options_.max_sessions);
+  (void)tenant_slot;  // existing tenant entries are reused as-is
+  sessions_.emplace(id, std::move(session));
   open_sessions_.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
@@ -229,12 +182,8 @@ Expected<SessionId> SimulationService::try_open_session(
                  "tenant name must be a non-empty identifier "
                  "([A-Za-z0-9_.:-], at most 128 chars): '" +
                      options.tenant + "'");
-  const std::uint64_t seq =
-      next_session_seq_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t shard_index =
-      next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
-  const SessionId id = (seq << kShardBits) |
-                       static_cast<std::uint64_t>(shard_index);
+  const SessionId id =
+      next_session_id_.fetch_add(1, std::memory_order_relaxed);
   auto session = std::make_unique<Session>(
       id, std::move(options), options_.max_pending_per_session);
   return insert_session(std::move(session), "open_session");
@@ -249,12 +198,8 @@ Expected<SessionId> SimulationService::try_restore(
                  kLayer, "restore_session",
                  "snapshot carries a malformed tenant name '" +
                      snapshot.tenant + "'");
-  const std::uint64_t seq =
-      next_session_seq_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t shard_index =
-      next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
-  const SessionId id = (seq << kShardBits) |
-                       static_cast<std::uint64_t>(shard_index);
+  const SessionId id =
+      next_session_id_.fetch_add(1, std::memory_order_relaxed);
 
   SessionOptions options;
   options.tenant = snapshot.tenant;
@@ -277,26 +222,24 @@ Expected<SessionId> SimulationService::try_restore(
 
 Expected<std::uint64_t> SimulationService::try_submit_measurement(
     SessionId id) {
-  auto shard_ptr = try_shard_of(id, "submit_measurement");
-  if (!shard_ptr.has_value()) return shard_ptr.error();
-  Shard& shard = *shard_ptr.value();
-
+  obs::ObsSpan span(kLayer, "submit_measurement");
   std::uint64_t measurement_index = 0;
+  bool made_runnable = false;
   {
-    std::unique_lock<std::mutex> lock(shard.mutex);
-    auto it = shard.sessions.find(id);
-    BIOSENS_EXPECT(it != shard.sessions.end(), ErrorCode::kSpec, kLayer,
+    const std::lock_guard<std::mutex> lock(mutex_);
+    auto it = sessions_.find(id);
+    BIOSENS_EXPECT(it != sessions_.end(), ErrorCode::kSpec, kLayer,
                    "submit_measurement",
                    "unknown session id " + std::to_string(id));
     Session& session = *it->second;
     BIOSENS_EXPECT(!session.closing, ErrorCode::kSpec, kLayer,
                    "submit_measurement", "session is closing");
-    BIOSENS_EXPECT(session.next_index < options_.max_records_per_session,
+    BIOSENS_EXPECT(session.next_index < kMaxRecordsPerSession,
                    ErrorCode::kSpec, kLayer, "submit_measurement",
                    "session reached its lifetime measurement cap");
 
-    auto tenant_it = shard.tenants.find(session.tenant);
-    BIOSENS_EXPECT(tenant_it != shard.tenants.end(), ErrorCode::kInternal,
+    auto tenant_it = tenants_.find(session.tenant);
+    BIOSENS_EXPECT(tenant_it != tenants_.end(), ErrorCode::kInternal,
                    kLayer, "submit_measurement",
                    "tenant state missing for an open session");
     TenantState& tenant = tenant_it->second;
@@ -334,8 +277,7 @@ Expected<std::uint64_t> SimulationService::try_submit_measurement(
                         std::to_string(tenant.pending) + " pending)",
                     tenant.pending);
     }
-    const std::uint64_t total =
-        pending_total_.load(std::memory_order_relaxed);
+    const std::uint64_t total = pending_.load(std::memory_order_relaxed);
     if (total >= static_cast<std::uint64_t>(options_.max_pending_total)) {
       return reject("service saturated (" + std::to_string(total) +
                         " pending)",
@@ -355,15 +297,17 @@ Expected<std::uint64_t> SimulationService::try_submit_measurement(
     session.next_index += 1;
     tenant.pending += 1;
     tenant.outcomes[cls].submitted += 1;
-    shard.pending += 1;
+    pending_.fetch_add(1, std::memory_order_relaxed);
     slo_[cls].submitted.increment();
     if (!session.in_flight && !session.listed) {
-      enqueue_runnable(shard, session);
+      enqueue_runnable(session);
+      made_runnable = true;
     }
     measurement_index = request.index;
   }
-  pending_total_.fetch_add(1, std::memory_order_relaxed);
-  pump();
+  // One new runnable session needs one worker; a worker that re-lists
+  // its session after a measurement picks the next one itself.
+  if (made_runnable) work_cv_.notify_one();
   // The measurement index doubles as the deterministic stream position.
   return measurement_index;
 }
@@ -374,12 +318,9 @@ Expected<void> SimulationService::try_advance_time(SessionId id,
   BIOSENS_EXPECT(dt_s >= 0.0, ErrorCode::kSpec, kLayer, "advance_time",
                  "time must not run backwards (dt " + std::to_string(dt_s) +
                      ")");
-  auto shard_ptr = try_shard_of(id, "advance_time");
-  if (!shard_ptr.has_value()) return shard_ptr.error();
-  Shard& shard = *shard_ptr.value();
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.sessions.find(id);
-  BIOSENS_EXPECT(it != shard.sessions.end(), ErrorCode::kSpec, kLayer,
+  const std::lock_guard<std::mutex> lock(mutex_);
+  auto it = sessions_.find(id);
+  BIOSENS_EXPECT(it != sessions_.end(), ErrorCode::kSpec, kLayer,
                  "advance_time", "unknown session id " + std::to_string(id));
   BIOSENS_EXPECT(!it->second->closing, ErrorCode::kSpec, kLayer,
                  "advance_time", "session is closing");
@@ -389,16 +330,13 @@ Expected<void> SimulationService::try_advance_time(SessionId id,
 
 Expected<void> SimulationService::try_wait_idle(SessionId id) {
   obs::ObsSpan span(kLayer, "wait_idle");
-  auto shard_ptr = try_shard_of(id, "wait_idle");
-  if (!shard_ptr.has_value()) return shard_ptr.error();
-  Shard& shard = *shard_ptr.value();
-  std::unique_lock<std::mutex> lock(shard.mutex);
-  BIOSENS_EXPECT(shard.sessions.find(id) != shard.sessions.end(),
-                 ErrorCode::kSpec, kLayer, "wait_idle",
+  std::unique_lock<std::mutex> lock(mutex_);
+  BIOSENS_EXPECT(sessions_.find(id) != sessions_.end(), ErrorCode::kSpec,
+                 kLayer, "wait_idle",
                  "unknown session id " + std::to_string(id));
-  shard.idle_cv.wait(lock, [&shard, id] {
-    auto it = shard.sessions.find(id);
-    if (it == shard.sessions.end()) return true;  // closed concurrently
+  idle_cv_.wait(lock, [this, id] {
+    auto it = sessions_.find(id);
+    if (it == sessions_.end()) return true;  // closed concurrently
     return it->second->queue.empty() && !it->second->in_flight;
   });
   return ok();
@@ -407,37 +345,31 @@ Expected<void> SimulationService::try_wait_idle(SessionId id) {
 Expected<std::vector<MeasurementRecord>> SimulationService::try_stream(
     SessionId id) {
   obs::ObsSpan span(kLayer, "stream");
-  auto shard_ptr = try_shard_of(id, "stream");
-  if (!shard_ptr.has_value()) return shard_ptr.error();
-  Shard& shard = *shard_ptr.value();
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.sessions.find(id);
-  BIOSENS_EXPECT(it != shard.sessions.end(), ErrorCode::kSpec, kLayer,
-                 "stream", "unknown session id " + std::to_string(id));
+  const std::lock_guard<std::mutex> lock(mutex_);
+  auto it = sessions_.find(id);
+  BIOSENS_EXPECT(it != sessions_.end(), ErrorCode::kSpec, kLayer, "stream",
+                 "unknown session id " + std::to_string(id));
   return it->second->records;
 }
 
 Expected<SessionSummary> SimulationService::try_close_session(SessionId id) {
   obs::ObsSpan span(kLayer, "close_session");
-  auto shard_ptr = try_shard_of(id, "close_session");
-  if (!shard_ptr.has_value()) return shard_ptr.error();
-  Shard& shard = *shard_ptr.value();
-  std::unique_lock<std::mutex> lock(shard.mutex);
-  auto it = shard.sessions.find(id);
-  BIOSENS_EXPECT(it != shard.sessions.end(), ErrorCode::kSpec, kLayer,
+  std::unique_lock<std::mutex> lock(mutex_);
+  auto it = sessions_.find(id);
+  BIOSENS_EXPECT(it != sessions_.end(), ErrorCode::kSpec, kLayer,
                  "close_session", "unknown session id " + std::to_string(id));
   BIOSENS_EXPECT(!it->second->closing, ErrorCode::kSpec, kLayer,
                  "close_session", "session is already closing");
   it->second->closing = true;
-  shard.idle_cv.wait(lock, [&shard, id] {
-    auto sit = shard.sessions.find(id);
-    return sit == shard.sessions.end() ||
+  idle_cv_.wait(lock, [this, id] {
+    auto sit = sessions_.find(id);
+    return sit == sessions_.end() ||
            (sit->second->queue.empty() && !sit->second->in_flight);
   });
   // Re-find: concurrent open_session inserts may have rehashed the map
   // while we waited.
-  it = shard.sessions.find(id);
-  BIOSENS_EXPECT(it != shard.sessions.end(), ErrorCode::kInternal, kLayer,
+  it = sessions_.find(id);
+  BIOSENS_EXPECT(it != sessions_.end(), ErrorCode::kInternal, kLayer,
                  "close_session", "session vanished while closing");
   Session& session = *it->second;
   SessionSummary summary;
@@ -447,19 +379,16 @@ Expected<SessionSummary> SimulationService::try_close_session(SessionId id) {
   summary.completed = session.completed;
   summary.failed = session.failed;
   summary.stream = std::move(session.records);
-  shard.sessions.erase(it);
+  sessions_.erase(it);
   open_sessions_.fetch_sub(1, std::memory_order_relaxed);
   return summary;
 }
 
 Expected<SessionSnapshot> SimulationService::try_snapshot(SessionId id) {
   obs::ObsSpan span(kLayer, "snapshot");
-  auto shard_ptr = try_shard_of(id, "snapshot");
-  if (!shard_ptr.has_value()) return shard_ptr.error();
-  Shard& shard = *shard_ptr.value();
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.sessions.find(id);
-  BIOSENS_EXPECT(it != shard.sessions.end(), ErrorCode::kSpec, kLayer,
+  const std::lock_guard<std::mutex> lock(mutex_);
+  auto it = sessions_.find(id);
+  BIOSENS_EXPECT(it != sessions_.end(), ErrorCode::kSpec, kLayer,
                  "snapshot", "unknown session id " + std::to_string(id));
   const Session& session = *it->second;
   BIOSENS_EXPECT(session.queue.empty() && !session.in_flight,
@@ -483,7 +412,6 @@ Expected<SessionSnapshot> SimulationService::try_snapshot(SessionId id) {
 void SimulationService::drain() {
   draining_.store(true, std::memory_order_relaxed);
   wait_all_idle();
-  pool_->drain();
   // The incident (if any) is over: re-anchor the health baseline and
   // close the metrics window on a fresh sample.
   reset_health_baseline();
@@ -557,7 +485,7 @@ obs::IntrospectionReport SimulationService::introspection_report() {
   inputs.watchdog_overdue = watchdog_.overdue().size();
   inputs.watchdog_trips = watchdog_.trips();
 
-  report.health = obs::evaluate_health(inputs, options_.health);
+  report.health = obs::evaluate_health(inputs);
   report.rates = sampler_.rates();
   report.watchdog_soft_deadline_s = watchdog_.soft_deadline_s();
   report.watchdog_overdue = inputs.watchdog_overdue;
@@ -567,22 +495,22 @@ obs::IntrospectionReport SimulationService::introspection_report() {
 }
 
 void SimulationService::wait_all_idle() {
-  for (const auto& shard : shards_) {
-    std::unique_lock<std::mutex> lock(shard->mutex);
-    shard->idle_cv.wait(lock, [&shard] { return shard->pending == 0; });
-  }
+  std::unique_lock<std::mutex> lock(mutex_);
+  idle_cv_.wait(lock, [this] {
+    return pending_.load(std::memory_order_relaxed) == 0;
+  });
 }
 
 ServiceStats SimulationService::stats() const {
   ServiceStats stats;
   stats.open_sessions = open_sessions_.load(std::memory_order_relaxed);
-  stats.pending = pending_total_.load(std::memory_order_relaxed);
+  stats.pending = pending_.load(std::memory_order_relaxed);
   stats.in_flight = in_flight_.load(std::memory_order_relaxed);
   return stats;
 }
 
 std::size_t SimulationService::worker_count() const {
-  return pool_->worker_count();
+  return workers_.size();
 }
 
 double SimulationService::retry_after_hint(PriorityClass cls,
@@ -591,16 +519,16 @@ double SimulationService::retry_after_hint(PriorityClass cls,
   const std::uint64_t n = slo.exec.count();
   const double mean_exec_s =
       n > 0 ? slo.exec.total_seconds() / static_cast<double>(n)
-            : options_.default_retry_after_s;
+            : kDefaultRetryAfterS;
   const double per_worker =
       static_cast<double>(backlog + 1) /
       static_cast<double>(options_.workers);
-  return std::max(options_.default_retry_after_s, mean_exec_s * per_worker);
+  return std::max(kDefaultRetryAfterS, mean_exec_s * per_worker);
 }
 
-void SimulationService::enqueue_runnable(Shard& shard, Session& session) {
-  auto tenant_it = shard.tenants.find(session.tenant);
-  if (tenant_it == shard.tenants.end()) return;  // unreachable
+void SimulationService::enqueue_runnable(Session& session) {
+  auto tenant_it = tenants_.find(session.tenant);
+  if (tenant_it == tenants_.end()) return;  // unreachable
   TenantState& tenant = tenant_it->second;
   const std::size_t cls = idx(session.priority);
   // Capacity equals max_sessions, and a session is listed at most once,
@@ -608,20 +536,20 @@ void SimulationService::enqueue_runnable(Shard& shard, Session& session) {
   if (!tenant.runnable[cls].try_push_back(session.id)) return;
   session.listed = true;
   if (!tenant.in_ring[cls]) {
-    if (shard.ring[cls].try_push_back(session.tenant)) {
+    if (ring_[cls].try_push_back(session.tenant)) {
       tenant.in_ring[cls] = true;
     }
   }
 }
 
-SimulationService::Session* SimulationService::pick_next(Shard& shard) {
+SimulationService::Session* SimulationService::pick_next() {
   for (std::size_t cls = 0; cls < kPriorityClassCount; ++cls) {
-    BoundedDeque<std::string>& ring = shard.ring[cls];
+    BoundedDeque<std::string>& ring = ring_[cls];
     std::size_t scan = ring.size();
     while (scan-- > 0) {
       std::string tenant_name = ring.pop_front();
-      auto tenant_it = shard.tenants.find(tenant_name);
-      if (tenant_it == shard.tenants.end()) continue;
+      auto tenant_it = tenants_.find(tenant_name);
+      if (tenant_it == tenants_.end()) continue;
       TenantState& tenant = tenant_it->second;
       if (tenant.runnable[cls].empty()) {
         tenant.in_ring[cls] = false;
@@ -637,8 +565,8 @@ SimulationService::Session* SimulationService::pick_next(Shard& shard) {
       } else {
         tenant.in_ring[cls] = false;
       }
-      auto session_it = shard.sessions.find(id);
-      if (session_it == shard.sessions.end()) continue;
+      auto session_it = sessions_.find(id);
+      if (session_it == sessions_.end()) continue;
       Session* session = session_it->second.get();
       session->listed = false;
       if (session->in_flight || session->queue.empty()) continue;
@@ -648,101 +576,72 @@ SimulationService::Session* SimulationService::pick_next(Shard& shard) {
   return nullptr;
 }
 
-bool SimulationService::dispatch_one(Shard& shard) {
-  std::unique_lock<std::mutex> lock(shard.mutex);
-  Session* session = pick_next(shard);
-  if (session == nullptr) return false;
-  const Request request = session->queue.pop_front();
-  session->in_flight = true;
+void SimulationService::worker_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    Session* session = pick_next();
+    if (session != nullptr) {
+      execute(lock, *session);
+      continue;
+    }
+    // Nothing is runnable, as seen under the lock: any later submission
+    // that makes a session runnable notifies work_cv_ after this wait
+    // has released the lock, so no request can be stranded.
+    if (stopping_) return;
+    work_cv_.wait(lock);
+  }
+}
+
+void SimulationService::execute(std::unique_lock<std::mutex>& lock,
+                                Session& session) {
+  const Request request = session.queue.pop_front();
+  session.in_flight = true;
+  in_flight_.fetch_add(1, std::memory_order_relaxed);
   lock.unlock();
 
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  const engine::TaskPriority lane =
-      session->priority == PriorityClass::kInteractive
-          ? engine::TaskPriority::kHigh
-          : engine::TaskPriority::kNormal;
-  const bool submitted = pool_->try_submit(
-      [this, &shard, session, request] { execute(shard, session, request); },
-      lane);
-  if (!submitted) {
-    // Pool saturated: undo, re-queue at the exact position the request
-    // came from (stream order is the determinism contract), stop pumping.
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    lock.lock();
-    session->in_flight = false;
-    if (!session->queue.try_push_front(request)) {
-      // Unreachable: the slot we popped is still free.
-    }
-    if (!session->listed) enqueue_runnable(shard, *session);
-    return false;
-  }
-  return true;
-}
-
-void SimulationService::pump() {
-  const std::size_t shard_count = shards_.size();
-  for (;;) {
-    if (in_flight_.load(std::memory_order_relaxed) >= dispatch_limit_) {
-      return;
-    }
-    bool dispatched = false;
-    const std::size_t start =
-        next_shard_.fetch_add(1, std::memory_order_relaxed) % shard_count;
-    for (std::size_t k = 0; k < shard_count; ++k) {
-      if (in_flight_.load(std::memory_order_relaxed) >= dispatch_limit_) {
-        return;
-      }
-      if (dispatch_one(*shards_[(start + k) % shard_count])) {
-        dispatched = true;
-      }
-    }
-    if (!dispatched) return;
-  }
-}
-
-void SimulationService::execute(Shard& shard, Session* session,
-                                const Request& request) {
   obs::async_end(kLayer, "svc-queue", request.request_id,
                  request.submitted);
-  ClassSlo& slo = slo_[idx(session->priority)];
+  ClassSlo& slo = slo_[idx(session.priority)];
   slo.queue_wait.record(seconds_since(request.submitted));
 
-  // Everything recorded while the body runs — the measurement span and
-  // every nested layer span — is attributed to this tenant/session in
-  // the flight recorder; the watchdog flags bodies that blow past the
-  // soft deadline (observation only).
-  const obs::FlightRecorder::ScopedContext recorder_context(
-      session->tenant, session->id);
-  const obs::Watchdog::Scoped watchdog_guard(watchdog_, session->tenant);
-
-  obs::Stopwatch exec_watch;
   Expected<double> result = 0.0;
   {
-    obs::ObsSpan span(kLayer, "measurement", session->tenant);
-    SessionContext context{session->id,
-                           request.index,
-                           request.sim_time_s,
-                           session->root.child(request.index),
-                           session->session_rng,
-                           session->state};
-    // The sanctioned exception boundary, mirroring the batch runner:
-    // session bodies may throw; everything is classified back into the
-    // Expected taxonomy here (docs/errors.md).
-    try {  // biosens-lint: allow(throw-discipline)
-      result = span.watch(session->body(context));
-    } catch (const std::exception& e) {  // biosens-lint: allow(throw-discipline)
-      result = ErrorInfo::from_exception(e, kLayer, "session body");
-      span.fail(result.error());
-    } catch (...) {  // biosens-lint: allow(throw-discipline)
-      result = make_error(ErrorCode::kInternal, kLayer, "session body",
-                          "session body raised a non-standard exception");
-      span.fail(result.error());
+    // Everything recorded while the body runs — the measurement span
+    // and every nested layer span — is attributed to this
+    // tenant/session in the flight recorder; the watchdog flags bodies
+    // that blow past the soft deadline (observation only).
+    const obs::FlightRecorder::ScopedContext recorder_context(
+        session.tenant, session.id);
+    const obs::Watchdog::Scoped watchdog_guard(watchdog_, session.tenant);
+
+    obs::Stopwatch exec_watch;
+    {
+      obs::ObsSpan span(kLayer, "measurement", session.tenant);
+      SessionContext context{session.id,
+                             request.index,
+                             request.sim_time_s,
+                             session.root.child(request.index),
+                             session.session_rng,
+                             session.state};
+      // The sanctioned exception boundary, mirroring the batch runner:
+      // session bodies may throw; everything is classified back into
+      // the Expected taxonomy here (docs/errors.md).
+      try {  // biosens-lint: allow(throw-discipline)
+        result = span.watch(session.body(context));
+      } catch (const std::exception& e) {  // biosens-lint: allow(throw-discipline)
+        result = ErrorInfo::from_exception(e, kLayer, "session body");
+        span.fail(result.error());
+      } catch (...) {  // biosens-lint: allow(throw-discipline)
+        result = make_error(ErrorCode::kInternal, kLayer, "session body",
+                            "session body raised a non-standard exception");
+        span.fail(result.error());
+      }
     }
-  }
-  slo.exec.record(exec_watch.elapsed_seconds());
-  if (!result.has_value()) {
-    obs::FlightRecorder::trigger_job_failure(session->tenant,
-                                             result.error().describe());
+    slo.exec.record(exec_watch.elapsed_seconds());
+    if (!result.has_value()) {
+      obs::FlightRecorder::trigger_job_failure(session.tenant,
+                                               result.error().describe());
+    }
   }
 
   MeasurementRecord record;
@@ -751,50 +650,43 @@ void SimulationService::execute(Shard& shard, Session* session,
   record.ok = result.has_value();
   record.value = result.has_value() ? result.value() : 0.0;
 
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (!bounded_append(session->records, options_.max_records_per_session,
-                        record)) {
-      // Unreachable: admission bounds next_index by the same cap.
-    }
-    auto tenant_it = shard.tenants.find(session->tenant);
-    if (tenant_it != shard.tenants.end()) {
-      TenantState& tenant = tenant_it->second;
-      tenant.pending -= 1;
-      TenantState::Outcomes& out = tenant.outcomes[idx(session->priority)];
-      if (record.ok) {
-        out.completed += 1;
-      } else {
-        out.failed += 1;
-      }
-    }
+  lock.lock();
+  if (!bounded_append(session.records, kMaxRecordsPerSession, record)) {
+    // Unreachable: admission bounds next_index by the same cap.
+  }
+  auto tenant_it = tenants_.find(session.tenant);
+  if (tenant_it != tenants_.end()) {
+    TenantState& tenant = tenant_it->second;
+    tenant.pending -= 1;
+    TenantState::Outcomes& out = tenant.outcomes[idx(session.priority)];
     if (record.ok) {
-      session->completed += 1;
-      slo.completed.increment();
+      out.completed += 1;
     } else {
-      session->failed += 1;
-      slo.failed.increment();
-    }
-    if (!session->first_result_recorded) {
-      session->first_result_recorded = true;
-      slo.time_to_first_result.record(seconds_since(session->opened));
-    }
-    session->in_flight = false;
-    if (!session->queue.empty() && !session->listed) {
-      enqueue_runnable(shard, *session);
-    }
-    shard.pending -= 1;
-    if (shard.pending == 0 ||
-        (session->queue.empty() && !session->in_flight)) {
-      shard.idle_cv.notify_all();
+      out.failed += 1;
     }
   }
-  pending_total_.fetch_sub(1, std::memory_order_relaxed);
+  if (record.ok) {
+    session.completed += 1;
+    slo.completed.increment();
+  } else {
+    session.failed += 1;
+    slo.failed.increment();
+  }
+  if (!session.first_result_recorded) {
+    session.first_result_recorded = true;
+    slo.time_to_first_result.record(seconds_since(session.opened));
+  }
+  session.in_flight = false;
   in_flight_.fetch_sub(1, std::memory_order_relaxed);
+  if (!session.queue.empty()) {
+    enqueue_runnable(session);
+  }
+  const std::uint64_t pending =
+      pending_.fetch_sub(1, std::memory_order_relaxed) - 1;
+  if (pending == 0 || session.queue.empty()) idle_cv_.notify_all();
   // Passive time-series feed: between periods this is two relaxed
   // loads (obs/sampler.hpp), so it can sit on the completion path.
   sampler_.maybe_sample();
-  pump();
 }
 
 std::string SimulationService::prometheus_text(
@@ -836,28 +728,26 @@ std::string SimulationService::prometheus_text(
                "Measurements queued or executing",
                static_cast<double>(now.pending));
   writer.gauge("biosens_service_in_flight",
-               "Measurements handed to the worker pool",
+               "Measurements executing on a worker",
                static_cast<double>(now.in_flight));
 
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const auto& [tenant_name, tenant] : shard->tenants) {
-      for (std::size_t cls = 0; cls < kPriorityClassCount; ++cls) {
-        const TenantState::Outcomes& out = tenant.outcomes[cls];
-        if (out.submitted == 0 && out.rejected == 0) continue;
-        const std::uint64_t by_outcome[] = {out.submitted, out.completed,
-                                            out.failed, out.rejected};
-        const std::string base =
-            "tenant=\"" + tenant_name + "\",class=\"" +
-            std::string(to_string(static_cast<PriorityClass>(cls))) + "\"";
-        for (std::size_t o = 0; o < 4; ++o) {
-          writer.counter("biosens_service_tenant_requests_total",
-                         "Per-tenant measurement requests by class and "
-                         "outcome",
-                         by_outcome[o],
-                         base + ",outcome=\"" + std::string(kOutcomes[o]) +
-                             "\"");
-        }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [tenant_name, tenant] : tenants_) {
+    for (std::size_t cls = 0; cls < kPriorityClassCount; ++cls) {
+      const TenantState::Outcomes& out = tenant.outcomes[cls];
+      if (out.submitted == 0 && out.rejected == 0) continue;
+      const std::uint64_t by_outcome[] = {out.submitted, out.completed,
+                                          out.failed, out.rejected};
+      const std::string base =
+          "tenant=\"" + tenant_name + "\",class=\"" +
+          std::string(to_string(static_cast<PriorityClass>(cls))) + "\"";
+      for (std::size_t o = 0; o < 4; ++o) {
+        writer.counter("biosens_service_tenant_requests_total",
+                       "Per-tenant measurement requests by class and "
+                       "outcome",
+                       by_outcome[o],
+                       base + ",outcome=\"" + std::string(kOutcomes[o]) +
+                           "\"");
       }
     }
   }

@@ -2,17 +2,18 @@
 // simulation engine.
 //
 // Where engine::Engine runs one batch to completion, the service is a
-// *resident* process component: it owns the worker pool for its whole
-// lifetime and hosts stateful patient sessions that stream measurement
-// requests in over hours or days (open_session -> submit_measurement*
-// -> advance_time* -> close_session). Three service-grade properties
-// sit on top of the engine substrate (docs/service.md):
+// *resident* process component: it runs its own worker threads for its
+// whole lifetime and hosts stateful patient sessions that stream
+// measurement requests in over hours or days (open_session ->
+// submit_measurement* -> advance_time* -> close_session). It adds
+// three service-grade properties (docs/service.md):
 //
-//  1. Fairness + priority. Sessions live in sharded per-tenant queues;
-//     a round-robin ring over tenants (per shard, per priority class)
-//     picks the next measurement, so one chatty tenant cannot starve
-//     the others, and interactive (point-of-care) work overtakes bulk
-//     re-simulation at every hop down to the pool's high lane.
+//  1. Fairness + priority. Sessions live in per-tenant queues; a
+//     round-robin ring over tenants per priority class picks the next
+//     measurement, so one chatty tenant cannot starve the others, and
+//     interactive (point-of-care) work overtakes bulk re-simulation.
+//     That ring is the only scheduler: each worker takes the next
+//     measurement from it under one mutex when it becomes free.
 //
 //  2. Admission control + backpressure. Every queue is bounded
 //     (src/service/bounded.hpp); when a session, tenant, or the whole
@@ -22,9 +23,9 @@
 //     service never aborts and never buffers without bound.
 //
 //  3. Graceful drain/restart. drain() stops admission and quiesces
-//     every session and the pool; quiesced sessions snapshot to
-//     bit-exact text (session.hpp) and restore byte-identically, so a
-//     restart is invisible in the measurement streams.
+//     every session; quiesced sessions snapshot to bit-exact text
+//     (session.hpp) and restore byte-identically, so a restart is
+//     invisible in the measurement streams.
 //
 // SLO instruments (queue wait, execution latency, time-to-first-result,
 // per-class and per-tenant counters) feed the same obs/ exposition the
@@ -33,53 +34,35 @@
 
 #include <array>
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/expected.hpp"
 #include "obs/health.hpp"
 #include "obs/instruments.hpp"
+#include "service/bounded.hpp"
 #include "service/session.hpp"
 
 namespace biosens::obs {
 struct RecorderDump;
 }
 
-namespace biosens::engine {
-class ThreadPool;
-}
-
 namespace biosens::service {
 
 struct ServiceOptions {
   std::size_t workers = 4;
-  /// Tenant-queue shards; session ids encode their shard so lookups
-  /// never scan. Clamped into [1, 64].
-  std::size_t shards = 8;
   std::size_t max_sessions = 1u << 20;
   /// Bounds, each with its own kOverloaded rejection message:
   std::size_t max_pending_per_session = 256;
   std::size_t max_pending_per_tenant = 1024;
   std::size_t max_pending_total = 1u << 14;
-  /// Hard ceiling on a session's lifetime measurement count (the record
-  /// stream is kept for close/snapshot, so it must be bounded too).
-  std::size_t max_records_per_session = 1u << 20;
-  /// Pool task-queue depth; 0 means 2 * workers.
-  std::size_t pool_queue_capacity = 0;
-  /// retry_after_s floor, and the hint when no latency data exists yet.
-  double default_retry_after_s = 0.005;
-  /// Soft deadline per executing measurement for the watchdog
-  /// (introspection only — nothing is cancelled); 0 disables it.
-  double watchdog_soft_deadline_s = 30.0;
-  /// Thresholds introspection_report() applies (docs/operations.md).
-  obs::HealthPolicy health;
-  /// Metrics sampler: sliding-window size and the per-measurement
-  /// rate-limit of the passive sampling hook.
-  std::size_t sampler_window = 64;
-  double sampler_min_period_s = 0.25;
 };
 
 /// SLO instruments for one priority class. Lock-free; read at any time.
@@ -97,7 +80,7 @@ struct ClassSlo {
 struct ServiceStats {
   std::uint64_t open_sessions = 0;
   std::uint64_t pending = 0;    ///< queued + executing measurements
-  std::uint64_t in_flight = 0;  ///< handed to the pool, not yet finished
+  std::uint64_t in_flight = 0;  ///< executing on a worker
 };
 
 class SimulationService {
@@ -137,8 +120,8 @@ class SimulationService {
   [[nodiscard]] Expected<SessionSummary> try_close_session(SessionId id);
 
   /// Graceful drain: stop admitting measurements, wait until every
-  /// session and the pool are idle. The service stays up — sessions can
-  /// be snapshotted, then resume() re-opens admission.
+  /// session is idle. The service stays up — sessions can be
+  /// snapshotted, then resume() re-opens admission.
   void drain();
   void resume();
   [[nodiscard]] bool draining() const {
@@ -180,31 +163,42 @@ class SimulationService {
   /// (docs/operations.md has the JSON schema).
   [[nodiscard]] obs::IntrospectionReport introspection_report();
 
-  /// The per-measurement soft-deadline watchdog.
-  [[nodiscard]] const obs::Watchdog& watchdog() const { return watchdog_; }
-
-  /// The service's sliding metrics window (fed passively by completed
-  /// measurements, and explicitly by drain() and introspection).
-  [[nodiscard]] obs::MetricsSampler& sampler() { return sampler_; }
-
  private:
   struct Request;
-  struct TenantState;
   struct Session;
-  struct Shard;
 
-  [[nodiscard]] Expected<Shard*> try_shard_of(SessionId id,
-                                              const char* stage) const;
+  /// Per-tenant scheduling + accounting state.
+  struct TenantState {
+    explicit TenantState(std::size_t session_capacity)
+        : runnable{BoundedDeque<SessionId>(session_capacity),
+                   BoundedDeque<SessionId>(session_capacity)} {}
+
+    /// Sessions with queued work, per priority class, round-robin order.
+    std::array<BoundedDeque<SessionId>, kPriorityClassCount> runnable;
+    std::array<bool, kPriorityClassCount> in_ring{};
+    std::uint64_t pending = 0;  ///< queued + executing (admission budget)
+
+    struct Outcomes {
+      std::uint64_t submitted = 0;
+      std::uint64_t completed = 0;
+      std::uint64_t failed = 0;
+      std::uint64_t rejected = 0;
+    };
+    std::array<Outcomes, kPriorityClassCount> outcomes{};
+  };
+
   [[nodiscard]] Expected<SessionId> insert_session(
       std::unique_ptr<Session> session, const char* stage);
 
-  /// All four require the shard mutex held.
-  void enqueue_runnable(Shard& shard, Session& session);
-  [[nodiscard]] Session* pick_next(Shard& shard);
+  /// All three require mutex_ held; execute() releases it while the
+  /// session body runs and holds it again on return.
+  void enqueue_runnable(Session& session);
+  [[nodiscard]] Session* pick_next();
+  void execute(std::unique_lock<std::mutex>& lock, Session& session);
 
-  bool dispatch_one(Shard& shard);
-  void pump();
-  void execute(Shard& shard, Session* session, const Request& request);
+  /// Every worker thread runs this: take the next runnable measurement,
+  /// run and record it; sleep on work_cv_ only when nothing is runnable.
+  void worker_loop();
   [[nodiscard]] double retry_after_hint(PriorityClass cls,
                                         std::uint64_t backlog) const;
 
@@ -218,14 +212,23 @@ class SimulationService {
 
   ServiceOptions options_;
   std::array<ClassSlo, kPriorityClassCount> slo_{};
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<engine::ThreadPool> pool_;
-  std::size_t dispatch_limit_ = 0;
-  std::atomic<std::uint64_t> next_session_seq_{1};
+
+  /// Guards the session table, the tenant states and the rings below.
+  /// in_flight_, pending_ and open_sessions_ change only under it and
+  /// are read lock-free by stats() and the sampler.
+  mutable std::mutex mutex_;
+  std::condition_variable work_cv_;  ///< a session became runnable
+  std::condition_variable idle_cv_;  ///< a session or the service idled
+  std::unordered_map<SessionId, std::unique_ptr<Session>> sessions_;
+  std::unordered_map<std::string, TenantState> tenants_;
+  /// Round-robin ring of tenants with runnable work, per class.
+  std::array<BoundedDeque<std::string>, kPriorityClassCount> ring_;
+  bool stopping_ = false;  ///< workers exit once nothing is runnable
+
+  std::atomic<std::uint64_t> next_session_id_{1};
   std::atomic<std::uint64_t> next_request_id_{1};
-  std::atomic<std::size_t> next_shard_{0};
   std::atomic<std::uint64_t> in_flight_{0};
-  std::atomic<std::uint64_t> pending_total_{0};
+  std::atomic<std::uint64_t> pending_{0};  ///< queued + executing
   std::atomic<std::uint64_t> open_sessions_{0};
   std::atomic<bool> draining_{false};
   obs::Watchdog watchdog_;
@@ -235,6 +238,8 @@ class SimulationService {
   /// does not keep the service degraded forever.
   std::atomic<std::uint64_t> rejected_baseline_{0};
   std::atomic<std::uint64_t> submitted_baseline_{0};
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace biosens::service

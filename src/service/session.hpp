@@ -30,15 +30,13 @@
 
 namespace biosens::service {
 
-/// Opaque session handle. The low byte encodes the owning shard so
-/// lookups never scan; the rest is an allocation sequence number.
+/// Opaque session handle, unique within one service instance.
 using SessionId = std::uint64_t;
 
 /// Scheduling class of everything a session submits. Interactive is
 /// point-of-care work (a clinician waiting on a reading); bulk is
-/// retrospective re-simulation, parameter sweeps, cohort studies.
-/// Interactive work overtakes bulk at every hop: tenant queues, the
-/// service scheduler, and the thread pool's high lane.
+/// retrospective re-simulation, parameter sweeps, cohort studies. A
+/// free worker always takes runnable interactive work before bulk.
 enum class PriorityClass {
   kInteractive,
   kBulk,

@@ -52,7 +52,6 @@ TEST(ThreadPool, SubmitAfterShutdownThrows) {
   ThreadPool pool(1, 4);
   pool.shutdown();
   EXPECT_THROW(pool.submit([] {}), SpecError);
-  EXPECT_THROW(pool.try_submit([] {}), SpecError);
 }
 
 TEST(ThreadPool, ShutdownIsIdempotent) {
@@ -66,28 +65,6 @@ TEST(ThreadPool, RejectsInvalidConfiguration) {
   EXPECT_THROW(ThreadPool(1, 0), SpecError);
   ThreadPool pool(1, 1);
   EXPECT_THROW(pool.submit(std::function<void()>{}), SpecError);
-}
-
-TEST(ThreadPool, BoundedQueueExertsBackpressure) {
-  ThreadPool pool(1, 2);
-  std::atomic<bool> release{false};
-  std::atomic<bool> blocker_running{false};
-  pool.submit([&] {
-    blocker_running = true;
-    while (!release) std::this_thread::sleep_for(1ms);
-  });
-  ASSERT_TRUE(eventually([&] { return blocker_running.load(); }));
-
-  // Worker is pinned; the queue (capacity 2) fills, then rejects.
-  std::atomic<int> done{0};
-  EXPECT_TRUE(pool.try_submit([&done] { done.fetch_add(1); }));
-  EXPECT_TRUE(pool.try_submit([&done] { done.fetch_add(1); }));
-  EXPECT_FALSE(pool.try_submit([&done] { done.fetch_add(1); }));
-  EXPECT_EQ(pool.pending(), 2u);
-
-  release = true;
-  pool.shutdown();
-  EXPECT_EQ(done.load(), 2);
 }
 
 TEST(ThreadPool, BlockingSubmitWaitsForSpaceInsteadOfFailing) {

@@ -68,7 +68,6 @@ std::vector<std::string> run_streams(std::size_t workers,
                                      bool interrupted) {
   ServiceOptions options;
   options.workers = workers;
-  options.shards = 4;
   SimulationService svc(options);
 
   std::vector<SessionId> ids(kStreamCount);
@@ -222,7 +221,6 @@ TEST(ServiceDeterminism, RngStateRoundTripIncludesNormalCache) {
 TEST(ServiceSaturation, OverloadCarriesTenantAndRetryAfter) {
   ServiceOptions options;
   options.workers = 1;
-  options.shards = 1;
   options.max_pending_per_session = 2;
   SimulationService svc(options);
 
@@ -276,7 +274,6 @@ TEST(ServiceSaturation, OverloadCarriesTenantAndRetryAfter) {
 TEST(ServiceSaturation, TenantBudgetIsIndependentPerTenant) {
   ServiceOptions options;
   options.workers = 1;
-  options.shards = 1;
   options.max_pending_per_session = 64;
   options.max_pending_per_tenant = 2;
   SimulationService svc(options);
@@ -317,7 +314,6 @@ TEST(ServiceSaturation, TenantBudgetIsIndependentPerTenant) {
 TEST(ServicePriority, InteractiveOvertakesQueuedBulk) {
   ServiceOptions options;
   options.workers = 1;
-  options.shards = 1;
   SimulationService svc(options);
 
   std::promise<void> gate;
@@ -373,11 +369,65 @@ TEST(ServicePriority, InteractiveOvertakesQueuedBulk) {
 
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order.front(), "interactive")
-      << "the high lane must overtake queued bulk work";
+      << "interactive work must overtake queued bulk work";
+}
+
+TEST(ServicePriority, TenantsTakeTurnsWithinAClass) {
+  ServiceOptions options;
+  options.workers = 1;
+  SimulationService svc(options);
+
+  std::promise<void> started;
+  std::promise<void> gate;
+  std::shared_future<void> release = gate.get_future().share();
+  std::mutex order_mutex;
+  std::vector<std::string> order;
+  const auto tagged_body = [&order_mutex, &order](std::string tag) {
+    return [&order_mutex, &order, tag](SessionContext&) -> Expected<double> {
+      const std::lock_guard<std::mutex> lock(order_mutex);
+      order.push_back(tag);
+      return 0.0;
+    };
+  };
+
+  SessionOptions pin;
+  pin.tenant = "pin";
+  pin.body = [&started, release](SessionContext&) -> Expected<double> {
+    started.set_value();
+    release.wait();
+    return 0.0;
+  };
+  pin.initial_state = {0.0};
+  auto pin_id = svc.try_open_session(std::move(pin));
+  ASSERT_TRUE(pin_id.has_value());
+
+  std::vector<SessionId> ids;
+  for (const char* tag : {"a0", "a1", "a2", "b0"}) {
+    SessionOptions session;
+    session.tenant = tag[0] == 'a' ? "tenant-a" : "tenant-b";
+    session.body = tagged_body(tag);
+    session.initial_state = {0.0};
+    auto id = svc.try_open_session(std::move(session));
+    ASSERT_TRUE(id.has_value());
+    ids.push_back(id.value());
+  }
+
+  // Hold the single worker, then queue tenant-a's three sessions ahead
+  // of tenant-b's one: once the worker frees, the tenants alternate.
+  ASSERT_TRUE(svc.try_submit_measurement(pin_id.value()).has_value());
+  started.get_future().wait();
+  for (const SessionId id : ids) {
+    ASSERT_TRUE(svc.try_submit_measurement(id).has_value());
+  }
+  gate.set_value();
+  svc.drain();
+
+  EXPECT_EQ(order, (std::vector<std::string>{"a0", "b0", "a1", "a2"}))
+      << "tenant-b must not wait behind tenant-a's whole backlog";
 }
 
 TEST(ServiceLifecycle, SpecErrorsForBadHandlesAndArguments) {
-  SimulationService svc(ServiceOptions{.workers = 1, .shards = 2});
+  SimulationService svc(ServiceOptions{.workers = 1});
   EXPECT_EQ(svc.try_submit_measurement(0).error().code, ErrorCode::kSpec);
   EXPECT_EQ(svc.try_submit_measurement(991).error().code, ErrorCode::kSpec);
   EXPECT_EQ(svc.try_close_session(991).error().code, ErrorCode::kSpec);
@@ -435,6 +485,41 @@ TEST(ServiceLifecycle, SessionTableCapIsOverloadedNotFatal) {
   third.body = tracked_body();
   third.initial_state = {0.0};
   EXPECT_TRUE(svc.try_open_session(std::move(third)).has_value());
+}
+
+TEST(ServiceLifecycle, DrainNeverStrandsARequest) {
+  // Many short measurements over many sessions, so workers keep going
+  // idle and waking while submissions arrive: drain() must return with
+  // every request run, at any worker count.
+  constexpr std::size_t kRounds = 40;
+  constexpr std::size_t kSessions = 512;
+  constexpr std::size_t kTenants = 16;
+  for (const std::size_t workers : {1u, 4u, 8u}) {
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      SimulationService svc(ServiceOptions{.workers = workers});
+      std::vector<SessionId> ids;
+      for (std::size_t i = 0; i < kSessions; ++i) {
+        SessionOptions session;
+        session.tenant = "tenant-" + std::to_string(i % kTenants);
+        session.priority =
+            i % 2 == 0 ? PriorityClass::kInteractive : PriorityClass::kBulk;
+        session.seed = 100 + i;
+        session.body = tracked_body();
+        session.initial_state = {0.0};
+        auto id = svc.try_open_session(std::move(session));
+        ASSERT_TRUE(id.has_value());
+        ids.push_back(id.value());
+      }
+      for (std::size_t submit = 0; submit < 2; ++submit) {
+        for (const SessionId id : ids) {
+          ASSERT_TRUE(svc.try_submit_measurement(id).has_value());
+        }
+      }
+      svc.drain();
+      ASSERT_EQ(svc.stats().pending, 0u)
+          << "workers=" << workers << " round=" << round;
+    }
+  }
 }
 
 TEST(ServiceObservability, PrometheusExposesClassAndTenantSeries) {
