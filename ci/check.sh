@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # CI gate for the measurement stack (docs/static-analysis.md):
-#   1. biosens-lint       AST/token-level invariant checks + fixture
-#                         self-test (throw/span/determinism/Expected/
-#                         service discipline)
+#   1. biosens-lint       per-file invariant checks (throw/span/
+#                         determinism/Expected/service discipline) and
+#                         whole-program transitive checks (hot paths,
+#                         determinism taint, the layer DAG in
+#                         tools/lint/layers.toml, span coverage) in one
+#                         pass, + fixture self-test
 #   2. clang-format       check-only formatting gate (skips with a
 #                         notice when clang-format is not installed)
 #   3. clang-tidy         bugprone/performance/concurrency baseline
@@ -25,14 +28,7 @@
 #                         FET patients) with mid-run drain/restore,
 #                         per-tenant and per-priority Prometheus series
 #                         validation
-#  11. graph              biosens-graph whole-program analyzer:
-#                         transitive hot-path/determinism checks, the
-#                         layer-dependency DAG (tools/analyze/
-#                         layers.toml) and span coverage of the public
-#                         try_* entries + fixture self-test; reuses
-#                         stage 1's compile_commands.json and caches
-#                         the extracted per-file graphs in build-ci/
-#  12. e2e                the end-to-end benchmark's own tests
+#  11. e2e                the end-to-end benchmark's own tests
 #                         (e2ebench/test_e2ebench.py): builds e2ebench/
 #                         from src/ and runs every workload briefly, so
 #                         a src/ API change cannot break it unnoticed
@@ -41,8 +37,7 @@
 #
 #   ci/check.sh            # everything
 #   ci/check.sh <stage>    # one stage: lint|format|tidy|release|tsan|
-#                          #            ubsan|asan|perf|obs|service|graph|
-#                          #            e2e
+#                          #            ubsan|asan|perf|obs|service|e2e
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -78,31 +73,32 @@ print_summary() {
 }
 
 run_lint() {
-  echo "=== [1/12] biosens-lint: AST-level invariant checks ==="
-  # Configure-only pass so build-ci/compile_commands.json exists for
-  # the clang backends here and in stage 11 (CMakeLists exports it).
-  if [ ! -f build-ci/compile_commands.json ]; then
-    cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
-  fi
+  echo "=== [1/11] biosens-lint: per-file and whole-program invariant checks ==="
   # tools/lint/biosens_lint.py replaces the old grep lints: it lexes
   # real C++ tokens (strings, comments and multi-line statements can
-  # no longer fool it) and enforces throw-discipline,
+  # no longer fool it), once per file, and enforces throw-discipline,
   # recorder-discipline, span-temporary, determinism-discipline,
   # expected-discard, nodiscard-decl, service-discipline (every queue
   # in src/service/ must be bounded), transducer-discipline and
-  # stale-suppression (allow() directives must earn their keep).
-  # BIOSENS_HOT bodies are checked by stage 11's hot-path-transitive.
-  # Check ids, rationale and the allow() suppression syntax:
-  # docs/static-analysis.md.
-  python3 tools/lint/biosens_lint.py --jobs "${JOBS}" src
+  # stale-suppression (allow() directives must earn their keep). From
+  # the same tokens it builds the include and call graphs for the
+  # properties a single file cannot show: hot-path-transitive
+  # (BIOSENS_HOT code must not reach allocation/throwing/locking
+  # through any call chain), determinism-taint (simulation roots must
+  # not reach entropy or clock sources outside common/rng), layer-dag
+  # (only the edges sanctioned in tools/lint/layers.toml, offending
+  # path printed) and span-coverage (every public try_* facade entry
+  # opens an ObsSpan). Check ids, rationale and the allow()
+  # suppression syntax: docs/static-analysis.md.
+  python3 tools/lint/biosens_lint.py src
   # The fixture self-test proves every check-id fires on its seeded
-  # violation and stays silent on the matching clean fixture.
+  # violation and stays silent on the clean files and negatives.
   python3 tools/lint/biosens_lint.py --self-test
   echo "lint: OK"
 }
 
 run_format() {
-  echo "=== [2/12] clang-format: check-only formatting gate ==="
+  echo "=== [2/11] clang-format: check-only formatting gate ==="
   if ! command -v clang-format > /dev/null 2>&1; then
     echo "format: clang-format not installed — stage skipped"
     return 0
@@ -114,7 +110,7 @@ run_format() {
 }
 
 run_tidy() {
-  echo "=== [3/12] clang-tidy: bugprone/performance/concurrency baseline ==="
+  echo "=== [3/11] clang-tidy: bugprone/performance/concurrency baseline ==="
   if ! command -v clang-tidy > /dev/null 2>&1; then
     echo "tidy: clang-tidy not installed — stage skipped"
     return 0
@@ -134,7 +130,7 @@ run_tidy() {
 }
 
 run_release() {
-  echo "=== [4/12] Release build (BIOSENS_WERROR=ON) + full test suite ==="
+  echo "=== [4/11] Release build (BIOSENS_WERROR=ON) + full test suite ==="
   # CI promotes the hardened src/ warning set to errors so a new
   # warning cannot land silently; local builds default it off.
   cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release -DBIOSENS_WERROR=ON
@@ -143,7 +139,7 @@ run_release() {
 }
 
 run_tsan() {
-  echo "=== [5/12] ThreadSanitizer: engine, pool, service, cache, recorder ==="
+  echo "=== [5/11] ThreadSanitizer: engine, pool, service, cache, recorder ==="
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DBIOSENS_SANITIZE=thread
@@ -157,7 +153,7 @@ run_tsan() {
 }
 
 run_ubsan() {
-  echo "=== [6/12] UndefinedBehaviorSanitizer: error-path tests ==="
+  echo "=== [6/11] UndefinedBehaviorSanitizer: error-path tests ==="
   cmake -B build-ubsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DBIOSENS_SANITIZE=undefined
@@ -169,7 +165,7 @@ run_ubsan() {
 }
 
 run_asan() {
-  echo "=== [7/12] AddressSanitizer+LeakSanitizer: allocation-bearing tests ==="
+  echo "=== [7/11] AddressSanitizer+LeakSanitizer: allocation-bearing tests ==="
   # The engine's worker pool, the sharded sim-cache LRU and the obs
   # per-thread buffers own the bulk of the dynamic allocations; ASan
   # with leak detection guards use-after-free and unreleased buffers.
@@ -184,7 +180,7 @@ run_asan() {
 }
 
 run_perf() {
-  echo "=== [8/12] Perf smoke: solver step rate + service throughput ==="
+  echo "=== [8/11] Perf smoke: solver step rate + service throughput ==="
   # A reduced-configuration run of the kernel bench (BIOSENS_SMOKE=1
   # shrinks the step/patient counts and skips the google-benchmark
   # timings; the per-step rate it prints is comparable to the full
@@ -317,7 +313,7 @@ run_perf() {
 }
 
 run_obs() {
-  echo "=== [9/12] Observability smoke: traced batch + exporter validation ==="
+  echo "=== [9/11] Observability smoke: traced batch + exporter validation ==="
   # One small traced service run must yield a Chrome trace that loads
   # in Perfetto (valid JSON, balanced begin/end nesting per thread) and
   # a Prometheus exposition with well-formed cumulative histograms.
@@ -409,7 +405,7 @@ PY
 }
 
 run_service() {
-  echo "=== [10/12] Service smoke: streaming sessions under overload ==="
+  echo "=== [10/11] Service smoke: streaming sessions under overload ==="
   cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-ci -j "${JOBS}" --target service_demo test_service
   svc_dir="$(mktemp -d)"
@@ -547,36 +543,8 @@ PY
   echo "service smoke: OK"
 }
 
-run_graph() {
-  echo "=== [11/12] biosens-graph: whole-program transitive checks ==="
-  # tools/analyze/biosens_graph.py builds the project include graph and
-  # a function-level call graph, then enforces the properties a
-  # single-file linter cannot see: hot-path-transitive (BIOSENS_HOT
-  # code must not reach allocation/throwing/locking through any call
-  # chain), determinism-taint (simulation roots must not reach entropy
-  # or clock sources outside common/rng), layer-dag (only the edges
-  # sanctioned in tools/analyze/layers.toml, offending path printed)
-  # and span-coverage (every public try_* facade entry opens an
-  # ObsSpan). Check ids and rationale: docs/static-analysis.md.
-  #
-  # Reuses stage 1's compile_commands.json (any build-ci configure
-  # exports it) and caches the per-file graph extraction so unchanged
-  # files are not re-lexed on the next run.
-  if [ ! -f build-ci/compile_commands.json ]; then
-    cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
-  fi
-  python3 tools/analyze/biosens_graph.py \
-    --compdb build-ci/compile_commands.json \
-    --graph-cache build-ci/biosens_graph_cache.json \
-    src
-  # The fixture self-test proves every transitive check fires on its
-  # seeded case and stays silent on the negatives.
-  python3 tools/analyze/biosens_graph.py --self-test
-  echo "graph: OK"
-}
-
 run_e2e() {
-  echo "=== [12/12] End-to-end benchmark: its own tests (quick mode) ==="
+  echo "=== [11/11] End-to-end benchmark: its own tests (quick mode) ==="
   # Neither the release stage nor CTest compiles e2ebench/; its tests
   # build it from src/ the way python3 e2ebench/run.py does, then check
   # the self-test binary, quick runs of every workload and the
@@ -595,7 +563,6 @@ case "${STAGE}" in
   perf)    run_stage perf    run_perf ;;
   obs)     run_stage obs     run_obs ;;
   service) run_stage service run_service ;;
-  graph)   run_stage graph   run_graph ;;
   e2e)     run_stage e2e     run_e2e ;;
   all)     run_stage lint    run_lint
            run_stage format  run_format
@@ -607,9 +574,8 @@ case "${STAGE}" in
            run_stage perf    run_perf
            run_stage obs     run_obs
            run_stage service run_service
-           run_stage graph   run_graph
            run_stage e2e     run_e2e ;;
-  *) echo "usage: ci/check.sh [lint|format|tidy|release|tsan|ubsan|asan|perf|obs|service|graph|e2e|all]" >&2
+  *) echo "usage: ci/check.sh [lint|format|tidy|release|tsan|ubsan|asan|perf|obs|service|e2e|all]" >&2
      exit 2 ;;
 esac
 print_summary

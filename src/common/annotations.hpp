@@ -6,7 +6,7 @@
 // two audiences:
 //  - the compiler: [[gnu::hot]] biases inlining/layout toward these
 //    functions on GCC/Clang (and expands to nothing elsewhere);
-//  - biosens-graph: the hot-path-transitive check roots at every
+//  - biosens-lint: the hot-path-transitive check roots at every
 //    BIOSENS_HOT function and walks its body and whole call graph —
 //    nothing a BIOSENS_HOT function does or reaches may allocate, lock,
 //    throw, or build a std::function — so the zero-allocation contract

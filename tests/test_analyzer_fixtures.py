@@ -1,80 +1,31 @@
 #!/usr/bin/env python3
-"""CTest wrapper for the biosens-graph fixture self-test.
+"""CTest wrapper for the whole-program checks of biosens-lint.
 
-Mirrors tests/test_lint_fixtures.py for the whole-program analyzer
+These properties mirror the CI acceptance criteria
 (docs/static-analysis.md, "Whole-program analysis"):
-  1. the fixture manifest matches exactly — every transitive check
-     fires on its seeded case and stays silent on the negatives
-     (suppressed root, config-exempt guard, grandfathered include,
-     traced entry point);
-  2. every registered check-id is exercised by at least one fixture;
-  3. the real tree (src/) is analyzer-clean under the repo's own
-     layers.toml;
-  4. a planted chem -> engine include in a src-shaped tree fails with
+  1. a chem -> engine include planted in a src-shaped tree fails with
      [layer-dag] and the offending dependency path printed, and an
      allow() suppression silences it again;
-  5. a malformed layer config (cycle) exits 2, not 1.
+  2. the same allow() over a legal file suppresses nothing and fails
+     as [stale-suppression] at its own line;
+  3. a malformed layer config (cycle) exits 2, not 1.
 
-Run directly (python3 tests/test_analyzer_fixtures.py) or via ctest
-(test target `analyzer_fixtures`).
+The fixture manifest, the clean-tree check and the per-file seeded
+violations are in tests/test_lint_fixtures.py, whose helpers this file
+reuses. Run directly (python3 tests/test_analyzer_fixtures.py) or via
+ctest (test target `analyzer_fixtures`).
 """
 
 import os
-import subprocess
-import sys
 import tempfile
 import unittest
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ANALYZER = os.path.join(REPO_ROOT, "tools", "analyze", "biosens_graph.py")
-FIXTURES = os.path.join(REPO_ROOT, "tools", "analyze", "fixtures")
+from test_lint_fixtures import lint_tree, plant, run_linter
 
 
-def run_analyzer(*args):
-    return subprocess.run(
-        [sys.executable, ANALYZER, *args],
-        capture_output=True, text=True, cwd=REPO_ROOT, timeout=300)
-
-
-class FixtureSelfTest(unittest.TestCase):
-    def test_manifest_matches_exactly(self):
-        proc = run_analyzer("--self-test")
-        self.assertEqual(
-            proc.returncode, 0,
-            f"fixture self-test failed:\n{proc.stdout}\n{proc.stderr}")
-
-    def test_every_check_id_is_exercised(self):
-        listed = run_analyzer("--list-checks")
-        self.assertEqual(listed.returncode, 0, listed.stderr)
-        check_ids = {line.split(":", 1)[0]
-                     for line in listed.stdout.splitlines() if ":" in line}
-        self.assertEqual(len(check_ids), 4)
-
-        exercised = set()
-        for raw in open(os.path.join(FIXTURES, "expected.txt")):
-            entry = raw.split("#", 1)[0].strip()
-            if entry:
-                exercised.add(entry.rsplit(" ", 1)[1])
-        self.assertEqual(
-            check_ids, exercised,
-            "every transitive check must have a seeded fixture case")
-
-    def test_repository_tree_is_clean(self):
-        proc = run_analyzer("src")
-        self.assertEqual(
-            proc.returncode, 0,
-            f"src/ has analyzer findings:\n{proc.stdout}\n{proc.stderr}")
-
-    def test_token_backend_explicitly_is_clean(self):
-        proc = run_analyzer("--backend", "token", "src")
-        self.assertEqual(
-            proc.returncode, 0,
-            f"token backend differs:\n{proc.stdout}\n{proc.stderr}")
-
-
-class PlantedViolationTest(unittest.TestCase):
+class PlantedLayerViolationTest(unittest.TestCase):
     """A chem -> engine include planted in a src-shaped tree must fail
-    stage 11 end-to-end with the dependency path printed (acceptance
+    end-to-end with the dependency path printed (acceptance
     criterion)."""
 
     ENGINE_HEADER = "namespace biosens::engine {\nvoid engine_step();\n}\n"
@@ -83,23 +34,15 @@ class PlantedViolationTest(unittest.TestCase):
                    "int planted_react() { return 0; }\n"
                    "}\n")
 
-    def plant(self, chem_source):
-        tree = tempfile.mkdtemp(prefix="biosens_graph_seed_")
-        self.addCleanup(lambda: subprocess.run(["rm", "-rf", tree]))
-        paths = {
+    def plant_chem(self, chem_source):
+        return plant(self, {
             "src/engine/planted_engine.hpp": self.ENGINE_HEADER,
             "src/chem/planted.cpp": chem_source,
-        }
-        for rel, content in paths.items():
-            full = os.path.join(tree, rel)
-            os.makedirs(os.path.dirname(full), exist_ok=True)
-            with open(full, "w") as f:
-                f.write(content)
-        return tree
+        })
 
     def test_planted_include_fails_with_path(self):
-        tree = self.plant(self.CHEM_SOURCE)
-        proc = run_analyzer("--root", tree, os.path.join(tree, "src"))
+        tree = self.plant_chem(self.CHEM_SOURCE)
+        proc = lint_tree(tree)
         self.assertEqual(proc.returncode, 1,
                          f"expected failure:\n{proc.stdout}\n{proc.stderr}")
         planted = os.path.join(tree, "src/chem/planted.cpp")
@@ -112,11 +55,26 @@ class PlantedViolationTest(unittest.TestCase):
     def test_allow_comment_suppresses(self):
         suppressed = ("// biosens-lint: allow(layer-dag)\n" +
                       self.CHEM_SOURCE)
-        tree = self.plant(suppressed)
-        proc = run_analyzer("--root", tree, os.path.join(tree, "src"))
+        tree = self.plant_chem(suppressed)
+        proc = lint_tree(tree)
         self.assertEqual(
             proc.returncode, 0,
             f"suppression did not silence layer-dag:\n{proc.stdout}")
+
+    def test_dead_allow_is_stale(self):
+        # The same directive over a legal chem file suppresses nothing.
+        tree = plant(self, {
+            "src/chem/planted.cpp":
+                "namespace biosens::chem {\n"
+                "// biosens-lint: allow(layer-dag)\n"
+                "int planted_react() { return 0; }\n"
+                "}\n",
+        })
+        proc = lint_tree(tree)
+        self.assertEqual(proc.returncode, 1,
+                         f"expected failure:\n{proc.stdout}\n{proc.stderr}")
+        planted = os.path.join(tree, "src/chem/planted.cpp")
+        self.assertIn(f"{planted}:2: [stale-suppression]", proc.stdout)
 
 
 class ConfigErrorTest(unittest.TestCase):
@@ -127,7 +85,7 @@ class ConfigErrorTest(unittest.TestCase):
         cfg.write('[layers]\nmembers = ["a", "b"]\n'
                   '[edges]\na = ["b"]\nb = ["a"]\n')
         cfg.close()
-        proc = run_analyzer("--layers", cfg.name, "src")
+        proc = run_linter("--layers", cfg.name, "src")
         self.assertEqual(proc.returncode, 2,
                          f"cycle must be a config error (exit 2):\n"
                          f"{proc.stdout}\n{proc.stderr}")

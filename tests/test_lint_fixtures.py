@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
 """CTest wrapper for the biosens-lint fixture self-test.
 
-Four properties, mirroring the CI acceptance criteria
+These properties mirror the CI acceptance criteria
 (docs/static-analysis.md):
   1. the fixture manifest matches exactly — every check-id fires on its
-     seeded violation and stays silent on the matching clean fixture;
-  2. every registered check-id is actually exercised by a fixture;
-  3. the real tree (src/) is lint-clean;
-  4. seeding a forbidden construct into a src-shaped file fails with
+     seeded violation and stays silent on the matching clean fixture and
+     the negatives (suppressed hot root, config-exempt guard,
+     grandfathered include, traced entry point);
+  2. every registered check-id, per-file and whole-program, is exercised
+     by a fixture;
+  3. the real tree (src/) is clean under the repo's own layers.toml;
+  4. seeding a forbidden construct into a src-shaped tree fails with
      the correct check-id and file:line, and an allow() suppression
-     silences it again.
+     silences it again;
+  5. a path that does not exist is a configuration error: exit 2, not 1.
 
+The planted-tree tests of the whole-program checks are in
+tests/test_analyzer_fixtures.py, which reuses this file's helpers.
 Run directly (python3 tests/test_lint_fixtures.py) or via ctest
 (test target `lint_fixtures`).
 """
@@ -32,6 +38,23 @@ def run_linter(*args):
         capture_output=True, text=True, cwd=REPO_ROOT, timeout=120)
 
 
+def plant(test, files):
+    """Writes {src-relative path: content} into a fresh tree, removed
+    when the test ends; returns the tree's root."""
+    tree = tempfile.mkdtemp(prefix="biosens_lint_seed_")
+    test.addCleanup(lambda: subprocess.run(["rm", "-rf", tree]))
+    for rel_path, content in files.items():
+        full = os.path.join(tree, rel_path)
+        os.makedirs(os.path.dirname(full), exist_ok=True)
+        with open(full, "w") as f:
+            f.write(content)
+    return tree
+
+
+def lint_tree(tree):
+    return run_linter("--root", tree, os.path.join(tree, "src"))
+
+
 class FixtureSelfTest(unittest.TestCase):
     def test_manifest_matches_exactly(self):
         proc = run_linter("--self-test")
@@ -44,13 +67,13 @@ class FixtureSelfTest(unittest.TestCase):
         self.assertEqual(listed.returncode, 0, listed.stderr)
         check_ids = {line.split(":", 1)[0]
                      for line in listed.stdout.splitlines() if ":" in line}
-        self.assertGreaterEqual(len(check_ids), 7)
+        self.assertEqual(len(check_ids), 13)
 
         exercised = set()
         for raw in open(os.path.join(FIXTURES, "expected.txt")):
             entry = raw.split("#", 1)[0].strip()
             if entry:
-                exercised.add(entry.rsplit(" ", 1)[1])
+                exercised.add(entry.split()[1])
         self.assertEqual(
             check_ids, exercised,
             "every check-id must have a seeded-violation fixture")
@@ -84,33 +107,34 @@ class SeededViolationTest(unittest.TestCase):
          "transducer-discipline", 2),
     ]
 
-    def plant(self, rel_path, content):
-        tree = tempfile.mkdtemp(prefix="biosens_lint_seed_")
-        self.addCleanup(lambda: subprocess.run(["rm", "-rf", tree]))
-        full = os.path.join(tree, rel_path)
-        os.makedirs(os.path.dirname(full), exist_ok=True)
-        with open(full, "w") as f:
-            f.write(content)
-        return tree, full
-
     def test_seeded_violations_fail_with_id_and_location(self):
         for rel_path, content, check_id, line in self.CASES:
             with self.subTest(check=check_id):
-                tree, full = self.plant(rel_path, content)
-                proc = run_linter("--root", tree, os.path.join(tree, "src"))
+                tree = plant(self, {rel_path: content})
+                proc = lint_tree(tree)
                 self.assertEqual(proc.returncode, 1,
                                  f"expected failure:\n{proc.stdout}")
+                full = os.path.join(tree, rel_path)
                 self.assertIn(f"{full}:{line}: [{check_id}]", proc.stdout)
 
     def test_allow_comment_suppresses(self):
         rel_path, content, check_id, line = self.CASES[0]
         lines = content.splitlines()
         lines[line - 1] += f"  // biosens-lint: allow({check_id})"
-        tree, _ = self.plant(rel_path, "\n".join(lines) + "\n")
-        proc = run_linter("--root", tree, os.path.join(tree, "src"))
+        tree = plant(self, {rel_path: "\n".join(lines) + "\n"})
+        proc = lint_tree(tree)
         self.assertEqual(
             proc.returncode, 0,
             f"suppression did not silence {check_id}:\n{proc.stdout}")
+
+
+class ConfigErrorTest(unittest.TestCase):
+    def test_missing_path_exits_2(self):
+        proc = run_linter("src/nonexistent_dir", "src")
+        self.assertEqual(proc.returncode, 2,
+                         f"a missing path must be a config error "
+                         f"(exit 2):\n{proc.stdout}\n{proc.stderr}")
+        self.assertIn("no such path: src/nonexistent_dir", proc.stderr)
 
 
 if __name__ == "__main__":
