@@ -146,7 +146,6 @@ std::vector<engine::JobSpec> failure_jobs(FailurePath path) {
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     engine::JobSpec& job = jobs[i];
     job.name = "fail-" + std::to_string(i);
-    job.kind = engine::JobKind::kCustom;
     switch (path) {
       case FailurePath::kSuccess:
         job.body = [](engine::JobContext&) { return true; };

@@ -56,9 +56,9 @@ Expected<double> try_relative_activity(const EnvironmentSensitivity& env,
   auto reference =
       try_raw_activity(env, reference_buffer(), air_saturated_oxygen());
   if (!reference) return ctx("reference activity", std::move(reference));
-  BIOSENS_EXPECT(reference.value() > 0.0, ErrorCode::kNumerics, Layer::kChem,
+  BIOSENS_EXPECT(*reference > 0.0, ErrorCode::kNumerics, Layer::kChem,
                  "environment", "reference activity must be positive");
-  const double ref = reference.value();
+  const double ref = *reference;
   return try_raw_activity(env, buffer, dissolved_oxygen)
       .map([ref](double raw) { return raw / ref; });
 }

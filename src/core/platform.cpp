@@ -134,7 +134,6 @@ PanelBatchResult Platform::run_panel_batch(
 
   PanelBatchResult result;
   result.reports.resize(samples.size());
-  const Time panel_time = scheduled_panel_time();
 
   // The engine's simulation cache (null when disabled) is shared across
   // every job of the batch; it only short-circuits deterministic
@@ -171,8 +170,6 @@ PanelBatchResult Platform::run_panel_batch(
   for (std::size_t i = 0; i < samples.size(); ++i) {
     engine::JobSpec job;
     job.name = "panel-" + std::to_string(i);
-    job.kind = engine::JobKind::kPanelAssay;
-    job.dwell = panel_time;
     if (options.instruments > 0) {
       job.affinity = i % options.instruments;
     }
@@ -254,7 +251,6 @@ Expected<void> Platform::try_calibrate_all_batch(
   for (std::size_t i = 0; i < sensors_.size(); ++i) {
     engine::JobSpec job;
     job.name = "calibrate-" + sensors_[i].spec().name;
-    job.kind = engine::JobKind::kCalibrationSweep;
     job.body = [this, &protocol, cache, i](engine::JobContext& jc) {
       const std::vector<Concentration> series = standard_series(
           entries_[i].published.range_low, entries_[i].published.range_high);

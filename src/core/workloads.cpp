@@ -134,7 +134,6 @@ double cohort_fixed_dose_in_window(
   for (std::size_t i = 0; i < cohort.size(); ++i) {
     engine::JobSpec job;
     job.name = cohort[i].id;
-    job.kind = engine::JobKind::kCohortSimulation;
     job.body = [&, i](engine::JobContext&) {
       counts[i] = fixed_dose_counts(cohort[i], population, dose_mg, doses,
                                     interval, molar_mass_g_per_mol, low,
@@ -171,7 +170,6 @@ double cohort_monitored_in_window(
   for (std::size_t i = 0; i < cohort.size(); ++i) {
     engine::JobSpec job;
     job.name = cohort[i].id;
-    job.kind = engine::JobKind::kCohortSimulation;
     job.body = [&, i](engine::JobContext& ctx) {
       const auto course = monitor.run_course(
           cohort[i], population, initial_dose_mg, doses, interval,

@@ -43,7 +43,6 @@ void run_one_job(Engine& engine, const JobSpec& job, std::size_t index,
   MetricsRegistry& metrics = engine.metrics();
   out.index = index;
   out.name = job.name;
-  out.kind = job.kind;
 
   // Flight-recorder attribution: engine jobs have no tenant, so the
   // job name fills that slot.
@@ -90,7 +89,6 @@ void run_one_job(Engine& engine, const JobSpec& job, std::size_t index,
     }
     const double took = attempt_watch.elapsed_seconds();
     ++attempts;
-    out.simulated_dwell += job.dwell;
     metrics.attempts.increment();
     metrics.attempt_latency.record(took);
     metrics.add_busy_seconds(took);

@@ -2,22 +2,7 @@
 
 namespace biosens::engine {
 
-Engine::Engine(EngineOptions options)
-    : options_(options),
-      sampler_(
-          [this] {
-            obs::MetricsSample sample;
-            sample.submitted = metrics_.jobs_submitted.value();
-            sample.completed = metrics_.jobs_succeeded.value();
-            sample.failed = metrics_.jobs_failed.value();
-            sample.rejected =
-                metrics_
-                    .failures_by_code[static_cast<std::size_t>(
-                        ErrorCode::kOverloaded)]
-                    .value();
-            sample.queue_p99_s = metrics_.queue_wait.quantile(0.99);
-            return sample;
-          }) {
+Engine::Engine(EngineOptions options) : options_(options) {
   if (options_.workers > 0) {
     pool_ = std::make_unique<ThreadPool>(options_.workers,
                                          options_.queue_capacity);
@@ -31,33 +16,11 @@ Engine::Engine(EngineOptions options)
 
 std::vector<JobReport> Engine::run(const std::vector<JobSpec>& jobs,
                                    const BatchOptions& options) {
-  std::vector<JobReport> reports = BatchRunner(*this).run(jobs, options);
-  // One time-series point per batch: enough for cross-batch rates
-  // without any background thread.
-  sampler_.sample_now();
-  return reports;
-}
-
-obs::IntrospectionReport Engine::introspection_report() {
-  sampler_.sample_now();
-  obs::IntrospectionReport report;
-  report.component = "engine";
-  const MetricsSnapshot s = snapshot();
-  obs::HealthInputs inputs;
-  inputs.failed = s.jobs_failed;
-  inputs.finished = s.jobs_succeeded + s.jobs_failed;
-  report.health = obs::evaluate_health(inputs);
-  report.rates = sampler_.rates();
-  obs::fill_recorder_stats(report);
-  return report;
+  return BatchRunner(*this).run(jobs, options);
 }
 
 MetricsSnapshot Engine::snapshot() const {
   return metrics_.snapshot(window_.elapsed_seconds());
-}
-
-std::string Engine::prometheus_text(const obs::RecorderDump* trace) const {
-  return prometheus_exposition(metrics_, window_.elapsed_seconds(), trace);
 }
 
 void Engine::reset_metrics() {

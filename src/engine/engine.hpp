@@ -5,7 +5,9 @@
 // shared metrics registry. Higher layers hand it batches of JobSpecs
 // directly or through the typed entry points in core/ (
 // Platform::run_panel_batch, Platform::calibrate_all_batch, the
-// engine-backed cohort helpers in core/workloads).
+// engine-backed cohort helpers in core/workloads). A batch's output is
+// its JobReports and snapshot(); live health, rates and Prometheus text
+// belong to the resident service (service/service.hpp).
 #pragma once
 
 #include <cstddef>
@@ -17,11 +19,6 @@
 #include "engine/metrics.hpp"
 #include "engine/sim_cache.hpp"
 #include "engine/thread_pool.hpp"
-#include "obs/health.hpp"
-
-namespace biosens::obs {
-struct RecorderDump;
-}  // namespace biosens::obs
 
 namespace biosens::engine {
 
@@ -76,21 +73,9 @@ class Engine {
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
 
-  /// Live health + rates + recorder state, machine-readable
-  /// (obs/health.hpp; schema in docs/operations.md). Batch runs are
-  /// finite, so the engine has no watchdog and its watchdog fields stay
-  /// zero. Takes a fresh metrics sample so the reported rates end "now".
-  [[nodiscard]] obs::IntrospectionReport introspection_report();
-
   /// Metrics frozen over the wall-clock window since construction or
   /// the last reset_metrics().
   [[nodiscard]] MetricsSnapshot snapshot() const;
-
-  /// Prometheus text exposition of the current window; includes the
-  /// per-layer span histograms computed from `trace` (a flight-recorder
-  /// dump) when given.
-  [[nodiscard]] std::string prometheus_text(
-      const obs::RecorderDump* trace = nullptr) const;
 
   void reset_metrics();
 
@@ -100,8 +85,6 @@ class Engine {
   MetricsRegistry metrics_;
   std::unique_ptr<SimCache> sim_cache_;
   Stopwatch window_;
-  /// Sliding metrics window: one sample per run(), 64 samples kept.
-  obs::MetricsSampler sampler_;
 };
 
 }  // namespace biosens::engine

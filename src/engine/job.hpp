@@ -3,9 +3,9 @@
 // A job is one schedulable unit of simulated instrument work: a full
 // panel assay on one sample, one patient's simulated therapy course, one
 // sensor's calibration sweep. The engine itself is agnostic to what the
-// body computes; the kind tag, the instrument-affinity key, and the
-// dwell time carry the scheduling-relevant facts. core/ provides the
-// factories that wrap Platform and workload calls into JobSpecs.
+// body computes; the instrument-affinity key is the one scheduling fact
+// a job carries. core/ provides the factories that wrap Platform and
+// workload calls into JobSpecs.
 #pragma once
 
 #include <cstdint>
@@ -13,24 +13,12 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "common/expected.hpp"
 #include "common/rng.hpp"
-#include "common/table.hpp"
 #include "common/units.hpp"
 
 namespace biosens::engine {
-
-enum class JobKind {
-  kPanelAssay,        ///< multi-sensor assay of one sample
-  kCohortSimulation,  ///< one virtual patient's therapy course
-  kCalibrationSweep,  ///< one sensor's standard-series calibration
-  kCustom,
-};
-
-[[nodiscard]] std::string_view to_string(JobKind kind);
 
 /// Jobs with this affinity (the default) run fully concurrently.
 inline constexpr std::size_t kNoAffinity =
@@ -58,11 +46,7 @@ using JobBody = std::function<Expected<bool>(JobContext&)>;
 /// A schedulable unit of work.
 struct JobSpec {
   std::string name;
-  JobKind kind = JobKind::kCustom;
   JobBody body;
-  /// Simulated instrument occupancy per attempt (electrode hold +
-  /// settling); summed into JobReport::simulated_dwell, never slept.
-  Time dwell = Time::seconds(0.0);
   /// Jobs sharing an affinity key are serialized: they contend for one
   /// physical instrument (the chip's five working electrodes share a
   /// single counter/reference, so one chip runs one panel at a time).
@@ -73,7 +57,6 @@ struct JobSpec {
 struct JobReport {
   std::size_t index = 0;
   std::string name;
-  JobKind kind = JobKind::kCustom;
   std::size_t attempts = 0;
   bool accepted = false;  ///< final attempt passed QC
   /// Structured failure of the *final* attempt (empty when the job was
@@ -81,10 +64,6 @@ struct JobReport {
   std::optional<ErrorInfo> error;
   double wall_seconds = 0.0;  ///< real execution time across attempts
   Time simulated_backoff = Time::seconds(0.0);
-  Time simulated_dwell = Time::seconds(0.0);
 };
-
-/// Summary table (one row per job) for printing or CSV export.
-[[nodiscard]] Table jobs_table(const std::vector<JobReport>& reports);
 
 }  // namespace biosens::engine

@@ -1,29 +1,23 @@
 // Lock-cheap execution metrics: counters, timers, latency histograms.
 //
-// Every batch the engine runs is observable: how many jobs were
+// Every batch the engine runs is measured: how many jobs were
 // submitted, succeeded, retried; how long attempts took (p50/p95/p99)
 // and how long jobs waited in the queue before a worker picked them up;
 // how much wall time the batch consumed versus how much worker time it
 // kept busy. All hot-path instruments are single atomic operations —
 // no locks are taken while jobs execute — and a MetricsSnapshot freezes
-// a consistent, printable view (common/table.hpp) for reports.
+// a consistent view of them, which Engine::snapshot() returns.
 //
 // The instruments themselves (Counter/Stopwatch/LatencyHistogram) live
-// in obs/instruments.hpp, shared with the tracing subsystem; they are
-// re-exported here under their historical names.
+// in obs/instruments.hpp, shared with the service; they are re-exported
+// here under their historical names.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "common/expected.hpp"
-#include "common/table.hpp"
 #include "obs/instruments.hpp"
-
-namespace biosens::obs {
-struct RecorderDump;
-}  // namespace biosens::obs
 
 namespace biosens::engine {
 
@@ -31,7 +25,7 @@ using obs::Counter;
 using obs::LatencyHistogram;
 using obs::Stopwatch;
 
-/// A frozen, printable view of one batch (or one service period).
+/// A frozen view of the engine's metrics window.
 struct MetricsSnapshot {
   std::uint64_t jobs_submitted = 0;
   std::uint64_t jobs_succeeded = 0;
@@ -77,9 +71,6 @@ struct MetricsSnapshot {
                      static_cast<double>(lookups)
                : 0.0;
   }
-
-  /// Two-column metric/value table for printing or CSV export.
-  [[nodiscard]] Table to_table() const;
 };
 
 /// The engine's live instrument set. Thread-safe; shared by all workers.
@@ -123,15 +114,5 @@ class MetricsRegistry {
   std::atomic<std::uint64_t> busy_nanos_{0};
   std::atomic<std::uint64_t> backoff_nanos_{0};
 };
-
-/// Prometheus text exposition (0.0.4) of the registry: job counters,
-/// failure breakdown, sim-cache traffic, attempt/queue-wait histograms,
-/// throughput/utilization gauges. When `trace` (a flight-recorder dump)
-/// is non-null, per-layer span histograms computed from it are
-/// appended, giving bench artifacts and the batch service one
-/// scrape-able format.
-[[nodiscard]] std::string prometheus_exposition(
-    const MetricsRegistry& metrics, double wall_seconds,
-    const obs::RecorderDump* trace = nullptr);
 
 }  // namespace biosens::engine

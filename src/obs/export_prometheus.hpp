@@ -1,12 +1,11 @@
 // Prometheus-style text exposition (version 0.0.4): counters, gauges,
 // and histograms with cumulative `le` buckets.
 //
-// PrometheusWriter is the format layer; the engine composes the actual
-// exposition (engine::prometheus_exposition renders MetricsRegistry
-// counters, queue-wait and attempt histograms, and sim-cache counters),
-// and append_layer_metrics adds the per-layer latency attribution
-// computed from a flight-recorder dump. One format for bench artifacts
-// and the batch service's --metrics-out.
+// PrometheusWriter is the format layer; the service composes the actual
+// exposition (SimulationService::prometheus_text renders its SLO
+// counters and histograms), and append_layer_metrics adds the per-layer
+// latency attribution computed from a flight-recorder dump, for the
+// service's --metrics-out or for any traced batch.
 #pragma once
 
 #include <array>
@@ -68,7 +67,7 @@ void append_layer_metrics(PrometheusWriter& writer,
 /// The conventional `biosens_build_info` gauge (value 1, identity in
 /// the labels: compiler and C++ standard), so every scrape can be
 /// joined against what produced it. Emitted by every exposition the
-/// library composes (engine batches and the service alike).
+/// library composes.
 void append_build_info(PrometheusWriter& writer);
 
 }  // namespace biosens::obs

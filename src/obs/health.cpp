@@ -9,6 +9,19 @@
 namespace biosens::obs {
 namespace {
 
+// The thresholds evaluate_health() applies.
+/// Pending / effective capacity at which the queue counts saturated.
+constexpr double kQueueDegradedRatio = 0.85;
+/// Rejected / offered ratio (since the last quiesce) for SLO burn.
+constexpr double kBurnDegradedRatio = 0.05;
+constexpr double kBurnUnhealthyRatio = 0.5;
+/// Failed / finished ratio for failure burn.
+constexpr double kFailureDegradedRatio = 0.25;
+constexpr double kFailureUnhealthyRatio = 0.75;
+/// Items currently past the watchdog soft deadline.
+constexpr std::size_t kWatchdogDegraded = 1;
+constexpr std::size_t kWatchdogUnhealthy = 4;
+
 std::string format_double(double v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
@@ -88,8 +101,7 @@ std::string HealthReport::to_json() const {
   return out;
 }
 
-HealthReport evaluate_health(const HealthInputs& inputs,
-                             const HealthPolicy& policy) {
+HealthReport evaluate_health(const HealthInputs& inputs) {
   HealthReport report;
 
   if (inputs.draining) {
@@ -101,11 +113,11 @@ HealthReport evaluate_health(const HealthInputs& inputs,
   // now, or admission has rejected work since the last quiesce (the
   // baseline resets on drain()/resume(), so a past incident does not
   // poison the state forever).
-  if (inputs.queue_utilization >= policy.queue_degraded_ratio) {
+  if (inputs.queue_utilization >= kQueueDegradedRatio) {
     add_reason(report, HealthState::kDegraded, "queue-saturation",
                "queue utilization " +
                    format_double(inputs.queue_utilization) +
-                   " >= " + format_double(policy.queue_degraded_ratio));
+                   " >= " + format_double(kQueueDegradedRatio));
   } else if (inputs.rejected_since_baseline > 0) {
     add_reason(report, HealthState::kDegraded, "queue-saturation",
                std::to_string(inputs.rejected_since_baseline) +
@@ -119,14 +131,14 @@ HealthReport evaluate_health(const HealthInputs& inputs,
     const double burn =
         static_cast<double>(inputs.rejected_since_baseline) /
         static_cast<double>(offered);
-    if (burn >= policy.burn_unhealthy_ratio) {
+    if (burn >= kBurnUnhealthyRatio) {
       add_reason(report, HealthState::kUnhealthy, "slo-burn",
                  "rejection burn " + format_double(burn) + " >= " +
-                     format_double(policy.burn_unhealthy_ratio));
-    } else if (burn >= policy.burn_degraded_ratio) {
+                     format_double(kBurnUnhealthyRatio));
+    } else if (burn >= kBurnDegradedRatio) {
       add_reason(report, HealthState::kDegraded, "slo-burn",
                  "rejection burn " + format_double(burn) + " >= " +
-                     format_double(policy.burn_degraded_ratio));
+                     format_double(kBurnDegradedRatio));
     }
   }
 
@@ -134,22 +146,22 @@ HealthReport evaluate_health(const HealthInputs& inputs,
   if (inputs.finished > 0 && inputs.failed > 0) {
     const double burn = static_cast<double>(inputs.failed) /
                         static_cast<double>(inputs.finished);
-    if (burn >= policy.failure_unhealthy_ratio) {
+    if (burn >= kFailureUnhealthyRatio) {
       add_reason(report, HealthState::kUnhealthy, "failure-burn",
                  "failure ratio " + format_double(burn) + " >= " +
-                     format_double(policy.failure_unhealthy_ratio));
-    } else if (burn >= policy.failure_degraded_ratio) {
+                     format_double(kFailureUnhealthyRatio));
+    } else if (burn >= kFailureDegradedRatio) {
       add_reason(report, HealthState::kDegraded, "failure-burn",
                  "failure ratio " + format_double(burn) + " >= " +
-                     format_double(policy.failure_degraded_ratio));
+                     format_double(kFailureDegradedRatio));
     }
   }
 
-  if (inputs.watchdog_overdue >= policy.watchdog_unhealthy) {
+  if (inputs.watchdog_overdue >= kWatchdogUnhealthy) {
     add_reason(report, HealthState::kUnhealthy, "watchdog",
                std::to_string(inputs.watchdog_overdue) +
                    " items past the soft deadline");
-  } else if (inputs.watchdog_overdue >= policy.watchdog_degraded) {
+  } else if (inputs.watchdog_overdue >= kWatchdogDegraded) {
     add_reason(report, HealthState::kDegraded, "watchdog",
                std::to_string(inputs.watchdog_overdue) +
                    " items past the soft deadline");
@@ -253,45 +265,6 @@ std::string IntrospectionReport::to_json() const {
   out += ",\"triggers\":";
   out += std::to_string(recorder_triggers);
   out += "}}";
-  return out;
-}
-
-std::string IntrospectionReport::to_text() const {
-  std::string out;
-  out += component + " health: ";
-  out += to_string(health.state);
-  out += "\n";
-  for (const HealthReason& reason : health.reasons) {
-    out += "  [";
-    out += to_string(reason.severity);
-    out += "] ";
-    out += reason.code;
-    out += ": ";
-    out += reason.detail;
-    out += "\n";
-  }
-  out += "  pending=" + std::to_string(pending);
-  out += " in_flight=" + std::to_string(in_flight);
-  out += " open_sessions=" + std::to_string(open_sessions);
-  out += " queue_utilization=" + format_double(queue_utilization);
-  out += "\n";
-  out += "  rates: submitted/s=" + format_double(rates.submitted_per_s);
-  out += " completed/s=" + format_double(rates.completed_per_s);
-  out += " rejected/s=" + format_double(rates.rejected_per_s);
-  out += " queue_p99=" + format_double(rates.queue_p99_now_s);
-  out += "s trend=" + format_double(rates.queue_p99_trend_s);
-  out += "s\n";
-  out += "  watchdog: overdue=" + std::to_string(watchdog_overdue);
-  out += " trips=" + std::to_string(watchdog_trips);
-  out += "\n";
-  out += "  recorder: installed=";
-  out += recorder_installed ? "yes" : "no";
-  out += " dump_written=";
-  out += recorder_dump_written ? "yes" : "no";
-  out += " events=" + std::to_string(recorder_events);
-  out += " overwritten=" + std::to_string(recorder_overwritten);
-  out += " triggers=" + std::to_string(recorder_triggers);
-  out += "\n";
   return out;
 }
 

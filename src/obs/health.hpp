@@ -1,13 +1,12 @@
 // Health model, watchdog, and the introspection report.
 //
-// healthz/readyz for the resident stack: evaluate_health() folds a
+// healthz/readyz for the resident service: evaluate_health() folds a
 // small set of observed inputs (queue utilization, rejections since the
-// last quiesce, failure burn, drain state, watchdog trips) through
-// explicit policy thresholds into kHealthy/kDegraded/kUnhealthy plus
+// last quiesce, failure burn, drain state, watchdog trips) through fixed
+// thresholds (health.cpp) into kHealthy/kDegraded/kUnhealthy plus
 // machine-readable reasons — an operator (or an orchestrator probing
 // readiness) sees *why*, not just a color. The inputs are plain
-// numbers, so the same model serves Engine::introspection_report() and
-// SimulationService::introspection_report().
+// numbers, gathered by SimulationService::introspection_report().
 //
 // The Watchdog flags work exceeding a soft deadline: workers register
 // each job/measurement (begin/end or the Scoped RAII guard), and
@@ -49,22 +48,6 @@ struct HealthReason {
   std::string detail;  ///< human annotation with the numbers
 };
 
-/// Thresholds the health evaluation applies. Defaults suit the demo
-/// service; residents tune per deployment.
-struct HealthPolicy {
-  /// Pending / effective capacity at which the queue counts saturated.
-  double queue_degraded_ratio = 0.85;
-  /// Rejected / offered ratio (since the last quiesce) for SLO burn.
-  double burn_degraded_ratio = 0.05;
-  double burn_unhealthy_ratio = 0.5;
-  /// Failed / finished ratio (engine-style failure burn).
-  double failure_degraded_ratio = 0.25;
-  double failure_unhealthy_ratio = 0.75;
-  /// Items currently past the watchdog soft deadline.
-  std::size_t watchdog_degraded = 1;
-  std::size_t watchdog_unhealthy = 4;
-};
-
 /// What the component observed; all plain values so callers own the
 /// semantics (the service resets its baselines on drain()/resume()).
 struct HealthInputs {
@@ -86,8 +69,7 @@ struct HealthReport {
   [[nodiscard]] std::string to_json() const;
 };
 
-[[nodiscard]] HealthReport evaluate_health(const HealthInputs& inputs,
-                                           const HealthPolicy& policy = {});
+[[nodiscard]] HealthReport evaluate_health(const HealthInputs& inputs);
 
 /// Flags registered work that exceeds a soft wall-clock deadline.
 /// Observation only: nothing is cancelled. soft_deadline_s <= 0
@@ -156,9 +138,9 @@ class Watchdog {
 };
 
 /// Everything introspection_report() surfaces, renderable as JSON (the
-/// --introspect-out schema, docs/operations.md) or human text.
+/// --introspect-out schema, docs/operations.md).
 struct IntrospectionReport {
-  std::string component;  ///< "engine" or "service"
+  std::string component;  ///< "service"
   HealthReport health;
   WindowRates rates;
   // Live gauges.
@@ -179,7 +161,6 @@ struct IntrospectionReport {
   std::uint64_t recorder_triggers = 0;
 
   [[nodiscard]] std::string to_json() const;
-  [[nodiscard]] std::string to_text() const;
 };
 
 /// Fills the recorder_* fields from the installed FlightRecorder (or

@@ -6,6 +6,8 @@ namespace biosens::obs {
 namespace {
 
 constexpr double kMicrosPerSecond = 1e6;
+/// maybe_sample() rate limit: at most one passive sample per period.
+constexpr double kMinPeriodS = 0.25;
 
 double per_second(std::uint64_t newer, std::uint64_t older, double dt) {
   if (dt <= 0.0 || newer <= older) return 0.0;
@@ -14,11 +16,8 @@ double per_second(std::uint64_t newer, std::uint64_t older, double dt) {
 
 }  // namespace
 
-MetricsSampler::MetricsSampler(Source source, Options options)
-    : source_(std::move(source)), options_(options) {
-  if (options_.window == 0) options_.window = 1;
-  if (!(options_.min_period_s >= 0.0)) options_.min_period_s = 0.0;
-  ring_.reserve(options_.window);
+MetricsSampler::MetricsSampler(Source source) : source_(std::move(source)) {
+  ring_.reserve(kSamplerWindow);
 }
 
 void MetricsSampler::sample_now() {
@@ -33,8 +32,8 @@ bool MetricsSampler::maybe_sample() {
       static_cast<std::uint64_t>(now_s * kMicrosPerSecond);
   const std::uint64_t last =
       last_sample_micros_.load(std::memory_order_relaxed);
-  const auto period_us =
-      static_cast<std::uint64_t>(options_.min_period_s * kMicrosPerSecond);
+  constexpr auto period_us =
+      static_cast<std::uint64_t>(kMinPeriodS * kMicrosPerSecond);
   if (total_.load(std::memory_order_relaxed) > 0 &&
       now_us < last + period_us) {
     return false;  // the hot-path exit: two relaxed loads, no lock
@@ -55,10 +54,10 @@ bool MetricsSampler::maybe_sample() {
 void MetricsSampler::sample_locked(double now_s) {
   MetricsSample sample = source_ ? source_() : MetricsSample{};
   sample.t_s = now_s;
-  if (ring_.size() < options_.window) {
+  if (ring_.size() < kSamplerWindow) {
     ring_.push_back(sample);
   } else {
-    ring_[next_ % options_.window] = sample;
+    ring_[next_ % kSamplerWindow] = sample;
   }
   ++next_;
   total_.fetch_add(1, std::memory_order_relaxed);
@@ -71,11 +70,11 @@ std::vector<MetricsSample> MetricsSampler::window() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<MetricsSample> out;
   out.reserve(ring_.size());
-  if (ring_.size() < options_.window) {
+  if (ring_.size() < kSamplerWindow) {
     out = ring_;
   } else {
-    for (std::uint64_t i = next_ - options_.window; i < next_; ++i) {
-      out.push_back(ring_[i % options_.window]);
+    for (std::uint64_t i = next_ - kSamplerWindow; i < next_; ++i) {
+      out.push_back(ring_[i % kSamplerWindow]);
     }
   }
   return out;

@@ -1,13 +1,13 @@
 // Metrics time-series sampler: a fixed-size sliding window of counter
 // snapshots, turned into rates and trends.
 //
-// MetricsRegistry and the service SLO instruments are monotone
-// counters: they answer "how much since reset", never "how fast right
-// now". The sampler closes that gap without unbounded memory — it
-// periodically copies a small, caller-defined MetricsSample (a
-// std::function source, so obs/ stays below engine/ and service/ in
-// the dependency order) into a fixed ring and differentiates across the
-// window: jobs per second, rejection burn rate, queue-wait p99 trend.
+// The service's SLO instruments are monotone counters: they answer "how
+// much since reset", never "how fast right now". The sampler closes
+// that gap without unbounded memory — it periodically copies a small,
+// caller-defined MetricsSample (a std::function source, so obs/ stays
+// below service/ in the dependency order) into a fixed ring of
+// kSamplerWindow samples and differentiates across the window:
+// completions per second, rejection burn rate, queue-wait p99 trend.
 //
 // Sampling is pull-based and cheap: sample_now() takes one short lock;
 // maybe_sample() adds an atomic rate-limit gate so it can sit on a hot
@@ -55,24 +55,21 @@ struct WindowRates {
   double queue_p99_trend_s = 0.0;  ///< newest minus oldest p99
 };
 
-struct MetricsSamplerOptions {
-  std::size_t window = 64;     ///< ring capacity (samples kept)
-  double min_period_s = 0.25;  ///< maybe_sample() rate limit
-};
+/// Ring capacity: samples kept in the window.
+inline constexpr std::size_t kSamplerWindow = 64;
 
 class MetricsSampler {
  public:
   /// Fills the counter fields of a sample; the sampler stamps t_s.
   using Source = std::function<MetricsSample()>;
-  using Options = MetricsSamplerOptions;
 
-  explicit MetricsSampler(Source source, Options options = {});
+  explicit MetricsSampler(Source source);
 
   /// Takes a sample unconditionally.
   void sample_now();
 
-  /// Takes a sample only if min_period_s elapsed since the last one;
-  /// returns whether it sampled. Cheap enough for per-job call sites:
+  /// Takes a sample only if 0.25 s elapsed since the last one; returns
+  /// whether it sampled. Cheap enough for per-job call sites:
   /// between periods it is one relaxed atomic load and a compare.
   bool maybe_sample();
 
@@ -90,7 +87,6 @@ class MetricsSampler {
   void sample_locked(double now_s);
 
   Source source_;
-  Options options_;
   Stopwatch epoch_;
   std::atomic<std::uint64_t> last_sample_micros_{0};
   mutable std::mutex mutex_;

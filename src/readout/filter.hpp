@@ -58,14 +58,4 @@ class MedianFilter {
   std::deque<double> buf_;
 };
 
-/// Applies a streaming filter to a whole vector (convenience).
-template <class Filter>
-[[nodiscard]] std::vector<double> filter_all(Filter f,
-                                             const std::vector<double>& xs) {
-  std::vector<double> out;
-  out.reserve(xs.size());
-  for (double x : xs) out.push_back(f.push(x));
-  return out;
-}
-
 }  // namespace biosens::readout

@@ -50,10 +50,4 @@ TransimpedanceAmplifier default_tia() {
                                  Potential::volts(1.2));
 }
 
-TransimpedanceAmplifier high_gain_tia() {
-  return TransimpedanceAmplifier(Resistance::mega_ohms(10.0),
-                                 Frequency::hertz(300.0),
-                                 Potential::volts(1.2));
-}
-
 }  // namespace biosens::readout

@@ -53,7 +53,4 @@ class TransimpedanceAmplifier {
 /// (a realistic 0.18 um CMOS potentiostat operating point).
 [[nodiscard]] TransimpedanceAmplifier default_tia();
 
-/// Higher-gain variant for the sub-nA CYP peaks on microelectrodes.
-[[nodiscard]] TransimpedanceAmplifier high_gain_tia();
-
 }  // namespace biosens::readout

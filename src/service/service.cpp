@@ -113,8 +113,8 @@ SimulationService::SimulationService(ServiceOptions options)
             BoundedDeque<std::string>(
                 std::max<std::size_t>(1, options.max_sessions))},
       watchdog_(obs::WatchdogOptions{kWatchdogSoftDeadlineS}),
-      // The sampler keeps MetricsSamplerOptions' fixed window (64
-      // samples) and rate limit (one passive sample per 0.25 s).
+      // The sampler keeps its fixed window (64 samples) and rate limit
+      // (one passive sample per 0.25 s).
       sampler_(
           [this] {
             obs::MetricsSample sample;

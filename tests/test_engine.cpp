@@ -342,19 +342,6 @@ TEST(Engine, MetricsCountSubmissionsAttemptsAndRetries) {
   EXPECT_EQ(engine.snapshot().jobs_submitted, 0u);
 }
 
-TEST(Metrics, SnapshotRendersAsTable) {
-  MetricsRegistry registry;
-  registry.jobs_submitted.increment(3);
-  registry.attempt_latency.record(0.010);
-  const Table table = registry.snapshot(1.0).to_table();
-  EXPECT_EQ(table.columns(), 2u);
-  EXPECT_EQ(table.rows(), 31u);  // 25 base + one row per error code
-  EXPECT_NE(table.to_markdown().find("jobs_submitted"), std::string::npos);
-  EXPECT_NE(table.to_markdown().find("cache_hit_rate"), std::string::npos);
-  EXPECT_NE(table.to_markdown().find("failed_spec"), std::string::npos);
-  EXPECT_NE(table.to_markdown().find("failed_qc-reject"), std::string::npos);
-}
-
 TEST(Metrics, HistogramQuantilesAreOrderedAndApproximate) {
   LatencyHistogram histogram;
   for (int i = 1; i <= 1000; ++i) {
@@ -415,28 +402,6 @@ TEST(RetryPolicy, ValidateRejectsMalformedPolicies) {
 
   EXPECT_EQ(no_retry().max_attempts, 1u);
   no_retry().validate();
-}
-
-TEST(Job, KindNamesAreStable) {
-  EXPECT_EQ(to_string(JobKind::kPanelAssay), "panel-assay");
-  EXPECT_EQ(to_string(JobKind::kCohortSimulation), "cohort-simulation");
-  EXPECT_EQ(to_string(JobKind::kCalibrationSweep), "calibration-sweep");
-}
-
-TEST(Job, ReportsRenderAsTable) {
-  std::vector<JobReport> reports(2);
-  reports[0].name = "panel-0";
-  reports[0].kind = JobKind::kPanelAssay;
-  reports[0].attempts = 1;
-  reports[0].accepted = true;
-  reports[1].index = 1;
-  reports[1].name = "panel-1";
-  reports[1].error = make_error(ErrorCode::kSpec, Layer::kChem, "kinetics",
-                                "k_m must be positive");
-  const Table table = jobs_table(reports);
-  EXPECT_EQ(table.rows(), 2u);
-  EXPECT_NE(table.to_csv().find("panel-assay"), std::string::npos);
-  EXPECT_NE(table.to_csv().find("[chem/kinetics]"), std::string::npos);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "obs/recorder.hpp"
 #include "service/service.hpp"
 #include "service/session.hpp"
 
@@ -523,10 +524,14 @@ TEST(ServiceLifecycle, DrainNeverStrandsARequest) {
 }
 
 TEST(ServiceObservability, PrometheusExposesClassAndTenantSeries) {
+  // Declared first so the service's workers are joined before the
+  // recorder goes away.
+  obs::FlightRecorder recorder;
   ServiceOptions options;
   options.workers = 2;
   SimulationService svc(options);
 
+  recorder.install();
   SessionOptions session;
   session.tenant = "clinic-a";
   session.body = tracked_body();
@@ -537,12 +542,18 @@ TEST(ServiceObservability, PrometheusExposesClassAndTenantSeries) {
     ASSERT_TRUE(svc.try_submit_measurement(id.value()).has_value());
   }
   svc.drain();
+  recorder.uninstall();
 
-  const std::string text = svc.prometheus_text();
+  // The per-layer span histograms come from the recorder's dump.
+  const obs::RecorderDump dump = recorder.dump();
+  const std::string text = svc.prometheus_text(&dump);
   EXPECT_NE(text.find("biosens_service_requests_total{class=\"interactive"
                       "\",outcome=\"submitted\"}"),
             std::string::npos)
       << text;
+  EXPECT_NE(
+      text.find("biosens_layer_span_seconds_bucket{layer=\"service\""),
+      std::string::npos);
   EXPECT_NE(
       text.find(
           "biosens_service_tenant_requests_total{tenant=\"clinic-a\""),
@@ -643,6 +654,44 @@ TEST(ServiceObservability, IntrospectionTransitionsWithOverload) {
   EXPECT_TRUE(recovered.health.reasons.empty());
   ASSERT_TRUE(svc.try_submit_measurement(id.value()).has_value());
   svc.drain();
+}
+
+TEST(ServiceObservability, IntrospectionReportsFailureBurn) {
+  obs::FlightRecorder recorder;
+  ServiceOptions options;
+  options.workers = 2;
+  SimulationService svc(options);
+
+  recorder.install();
+  SessionOptions session;
+  session.tenant = "clinic-a";
+  // Every reading after the first fails: a failure ratio of 7/8, past
+  // the unhealthy threshold.
+  session.body = [](SessionContext& c) -> Expected<double> {
+    if (c.index == 0) return 1.0;
+    return make_error(ErrorCode::kNumerics, Layer::kService, "probe",
+                      "electrode fault");
+  };
+  auto id = svc.try_open_session(std::move(session));
+  ASSERT_TRUE(id.has_value());
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(svc.try_submit_measurement(id.value()).has_value());
+  }
+  svc.drain();
+
+  const obs::IntrospectionReport report = svc.introspection_report();
+  recorder.uninstall();
+  EXPECT_EQ(report.component, "service");
+  EXPECT_EQ(report.health.state, obs::HealthState::kUnhealthy)
+      << report.to_json();
+  EXPECT_TRUE(report.health.has_reason("failure-burn"));
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find("\"component\":\"service\""), std::string::npos);
+  EXPECT_NE(json.find("\"failure-burn\""), std::string::npos);
+  // The first failure latched the installed recorder.
+  EXPECT_NE(json.find("\"recorder\":{\"installed\":true,\"triggered\":true"),
+            std::string::npos)
+      << json;
 }
 
 }  // namespace
