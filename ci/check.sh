@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for the measurement stack (docs/static-analysis.md):
-#   1. biosens-lint       per-file invariant checks (throw/span/
-#                         determinism/Expected/service discipline) and
+#   1. biosens-lint       per-file invariant checks (throw/
+#                         determinism/service/transducer discipline) and
 #                         whole-program transitive checks (hot paths,
 #                         determinism taint, the layer DAG in
 #                         tools/lint/layers.toml, span coverage) in one
@@ -77,9 +77,8 @@ run_lint() {
   # tools/lint/biosens_lint.py replaces the old grep lints: it lexes
   # real C++ tokens (strings, comments and multi-line statements can
   # no longer fool it), once per file, and enforces throw-discipline,
-  # recorder-discipline, span-temporary, determinism-discipline,
-  # expected-discard, nodiscard-decl, service-discipline (every queue
-  # in src/service/ must be bounded), transducer-discipline and
+  # determinism-discipline, service-discipline (every queue in
+  # src/service/ must be bounded), transducer-discipline and
   # stale-suppression (allow() directives must earn their keep). From
   # the same tokens it builds the include and call graphs for the
   # properties a single file cannot show: hot-path-transitive
@@ -88,7 +87,9 @@ run_lint() {
   # not reach entropy or clock sources outside common/rng), layer-dag
   # (only the edges sanctioned in tools/lint/layers.toml, offending
   # path printed) and span-coverage (every public try_* facade entry
-  # opens an ObsSpan). Check ids, rationale and the allow()
+  # opens an ObsSpan). Dropped Expecteds, temporary spans and raw
+  # recorder access are compile errors instead (the release stage's
+  # compiler_guards test). Check ids, rationale and the allow()
   # suppression syntax: docs/static-analysis.md.
   python3 tools/lint/biosens_lint.py src
   # The fixture self-test proves every check-id fires on its seeded

@@ -95,16 +95,4 @@ std::string_view to_string(Material m) {
   return "unknown";
 }
 
-std::string_view to_string(ReferenceType r) {
-  switch (r) {
-    case ReferenceType::kAgAgCl:
-      return "Ag/AgCl";
-    case ReferenceType::kAgPseudo:
-      return "Ag pseudo-reference";
-    case ReferenceType::kPtPseudo:
-      return "Pt pseudo-reference";
-  }
-  return "unknown";
-}
-
 }  // namespace biosens::electrode

@@ -71,6 +71,5 @@ struct Geometry {
 [[nodiscard]] Potential reference_offset(ReferenceType type);
 
 [[nodiscard]] std::string_view to_string(Material m);
-[[nodiscard]] std::string_view to_string(ReferenceType r);
 
 }  // namespace biosens::electrode

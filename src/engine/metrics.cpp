@@ -15,12 +15,6 @@ std::uint64_t to_nanos(double seconds) {
                                     kNanosPerSecond);
 }
 
-double safe_rate(double numerator, double wall_seconds) {
-  if (!(wall_seconds > kMinWallSeconds)) return 0.0;
-  const double rate = numerator / wall_seconds;
-  return std::isfinite(rate) ? rate : 0.0;
-}
-
 /// p50/p95/p99 clamped to the exact recorded max (bucket upper edges
 /// can overshoot the true extreme).
 void fill_quantiles(const LatencyHistogram& h, double& p50, double& p95,
@@ -35,13 +29,10 @@ void fill_quantiles(const LatencyHistogram& h, double& p50, double& p95,
 
 }  // namespace
 
-double MetricsSnapshot::jobs_per_second() const {
-  return safe_rate(static_cast<double>(jobs_succeeded + jobs_failed),
-                   wall_seconds);
-}
-
 double MetricsSnapshot::utilization() const {
-  return safe_rate(busy_seconds, wall_seconds);
+  if (!(wall_seconds > kMinWallSeconds)) return 0.0;
+  const double rate = busy_seconds / wall_seconds;
+  return std::isfinite(rate) ? rate : 0.0;
 }
 
 void MetricsRegistry::add_busy_seconds(double s) {

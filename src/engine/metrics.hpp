@@ -57,11 +57,10 @@ struct MetricsSnapshot {
   double queue_p99_s = 0.0;
   double queue_max_s = 0.0;
 
-  /// Guarded against zero/denormal wall clocks: a snapshot taken
-  /// before any wall time elapsed reports 0, never inf/NaN (these
-  /// values are serialized into bench JSON artifacts).
-  [[nodiscard]] double jobs_per_second() const;
   /// Mean workers kept busy (busy / wall); ~worker count when saturated.
+  /// Guarded against zero/denormal wall clocks: a snapshot taken
+  /// before any wall time elapsed reports 0, never inf/NaN (the value
+  /// is serialized into bench JSON artifacts).
   [[nodiscard]] double utilization() const;
   /// Fraction of simulation-cache lookups served from memory.
   [[nodiscard]] double cache_hit_rate() const {

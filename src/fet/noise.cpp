@@ -45,6 +45,4 @@ double FlickerStack::next() {
   return sum + drift_a_ + white_sigma_a_ * rng_.normal();
 }
 
-double FlickerStack::flicker_rms_a() const { return params_.flicker_rms_a; }
-
 }  // namespace biosens::fet

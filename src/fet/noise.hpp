@@ -45,9 +45,6 @@ class FlickerStack {
   /// handed to the constructor.
   [[nodiscard]] double next();
 
-  /// Stationary rms of the flicker stack alone (analytic).
-  [[nodiscard]] double flicker_rms_a() const;
-
  private:
   NoiseParams params_;
   double dt_s_;

@@ -28,8 +28,9 @@ std::string format_double(double v) {
   return buf;
 }
 
-/// The one place health reasons are minted (recorder-discipline lint):
-/// records the reason and raises the report's state monotonically.
+/// The one place health reasons are minted (internal linkage, so no
+/// other file can call it): records the reason and raises the report's
+/// state monotonically.
 void add_reason(HealthReport& report, HealthState severity,
                 std::string_view code, std::string detail) {
   HealthReason reason;

@@ -14,9 +14,9 @@
 // counts completions that came in late. It observes wall time only —
 // it never cancels work — so byte-identity is untouched.
 //
-// Health reasons are constructed only inside src/obs/ (the add_reason
-// primitive is linted by ci/check.sh recorder-discipline); other layers
-// describe their state through HealthInputs and let the policy speak.
+// Health reasons are minted only by evaluate_health(): its add_reason
+// helper has internal linkage in health.cpp. Other layers describe
+// their state through HealthInputs and let the policy speak.
 #pragma once
 
 #include <chrono>

@@ -1,7 +1,6 @@
 #include "obs/recorder.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <utility>
 
@@ -23,15 +22,6 @@ struct RecorderSlot {
 RecorderSlot& recorder_slot() {
   thread_local RecorderSlot slot;
   return slot;
-}
-
-constexpr double kNanosPerMilli = 1e6;
-
-std::string format_ms(std::uint64_t ns) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.3f",
-                static_cast<double>(ns) / kNanosPerMilli);
-  return buf;
 }
 
 }  // namespace
@@ -66,33 +56,6 @@ void append_event_json(std::string& out, const RecorderEvent& ev) {
   out += "}";
 }
 
-void append_event_text(std::string& out, const RecorderEvent& ev) {
-  out += "  [";
-  out += format_ms(ev.event.ts_ns);
-  out += " ms] ";
-  out += to_string(ev.event.layer);
-  out += " ";
-  out += to_string(ev.event.phase);
-  out += " ";
-  out += ev.event.name;
-  if (ev.dur_ns > 0) {
-    out += " dur=";
-    out += format_ms(ev.dur_ns);
-    out += "ms";
-  }
-  if (!ev.tenant.empty()) {
-    out += " tenant=";
-    out += ev.tenant;
-  }
-  if (ev.event.failed) out += " FAILED";
-  if (!ev.event.detail.empty()) {
-    out += " (";
-    out += ev.event.detail;
-    out += ")";
-  }
-  out += "\n";
-}
-
 // The thread-local attribution frame ScopedContext maintains.
 thread_local FlightRecorder::ScopedContext* g_context_frame = nullptr;
 
@@ -125,46 +88,6 @@ std::string RecorderDump::to_json() const {
     append_event_json(out, tenant_tail[i]);
   }
   out += "]}";
-  return out;
-}
-
-std::string RecorderDump::to_text() const {
-  std::string out;
-  out += "flight-recorder dump reason=";
-  out += reason;
-  if (!tenant.empty()) {
-    out += " tenant=";
-    out += tenant;
-  }
-  if (!detail.empty()) {
-    out += " (";
-    out += detail;
-    out += ")";
-  }
-  out += "\n";
-  out += "  events=" + std::to_string(events.size());
-  out += " recorded=" + std::to_string(recorded);
-  out += " overwritten=" + std::to_string(overwritten);
-  out += " triggers=" + std::to_string(triggers);
-  out += "\n";
-  // Keep the human rendering bounded: the newest 200 events, then the
-  // failing tenant's tail (the part an operator reads first).
-  constexpr std::size_t kMaxTextEvents = 200;
-  const std::size_t first =
-      events.size() > kMaxTextEvents ? events.size() - kMaxTextEvents : 0;
-  if (first > 0) {
-    out += "  … " + std::to_string(first) + " older events elided\n";
-  }
-  for (std::size_t i = first; i < events.size(); ++i) {
-    append_event_text(out, events[i]);
-  }
-  if (!tenant_tail.empty()) {
-    out += "tenant tail (" + tenant + ", last " +
-           std::to_string(tenant_tail.size()) + "):\n";
-    for (const RecorderEvent& ev : tenant_tail) {
-      append_event_text(out, ev);
-    }
-  }
   return out;
 }
 

@@ -26,11 +26,10 @@
 // byte-identical with the recorder installed or not
 // (docs/operations.md).
 //
-// Raw event emission (record_event / RecorderEvent construction /
-// EventPhase) is confined to src/obs/ — outside it, code records
-// through ObsSpan, instant and async_end, attributes via ScopedContext
-// and signals via the trigger_* helpers (enforced by the
-// recorder-discipline lint).
+// Raw event emission is confined to src/obs/: record_event is private,
+// so outside it code records through ObsSpan, instant and async_end
+// (its only friends), attributes via ScopedContext and signals via the
+// trigger_* helpers.
 #pragma once
 
 #include <atomic>
@@ -72,7 +71,7 @@ struct RecorderEvent {
   std::uint64_t tid = 0;      ///< recording thread (1-based); set by dump()
 };
 
-/// A frozen snapshot of the recorder, renderable as JSON or text.
+/// A frozen snapshot of the recorder, renderable as JSON.
 struct RecorderDump {
   std::string reason;  ///< "manual", "overloaded", "job-failure"
   std::string tenant;  ///< failing tenant ("" for manual dumps)
@@ -92,7 +91,6 @@ struct RecorderDump {
   bool auto_dump_written = false;
 
   [[nodiscard]] std::string to_json() const;
-  [[nodiscard]] std::string to_text() const;
 };
 
 /// The process-wide flight recorder. install() publishes it (at most
@@ -198,8 +196,7 @@ class FlightRecorder {
 
   /// The raw emission primitive. Private on purpose: outside src/obs/
   /// events enter only through ObsSpan, instant and async_end (friends)
-  /// and the trigger_* helpers — enforced here and linted by
-  /// biosens-lint (recorder-discipline).
+  /// and the trigger_* helpers.
   void record_event(RecorderEvent&& event);
   ThreadRing* ring_for_this_thread();
   void trigger(std::string_view reason, std::string_view tenant,

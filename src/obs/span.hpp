@@ -21,11 +21,11 @@
 //
 // Raw event emission is confined to this subsystem: outside src/obs/
 // events enter only through ObsSpan and the free functions below
-// (enforced by friendship in recorder.hpp and by the biosens-lint
-// recorder-discipline check).
+// (enforced by friendship in recorder.hpp).
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -79,6 +79,13 @@ void async_end(Layer layer, std::string_view name, std::uint64_t id,
 /// records one kEnd event with the span's duration into the installed
 /// recorder. The ONLY way to open a span outside src/obs/.
 ///
+/// A span is always a named local, so it covers its scope: the
+/// [[nodiscard]] constructor makes a discarded temporary
+/// (`ObsSpan(...);`, which would record a zero-length span) a compile
+/// error under -Werror=unused-result, and the deleted operator new
+/// rules out a heap span that outlives the work it times
+/// (tests/test_compiler_guards.py).
+///
 /// Disabled path (no recorder installed): one acquire load, no
 /// allocation, no clock read, and every member call is an immediate
 /// return.
@@ -87,12 +94,13 @@ class ObsSpan {
   /// `detail` is appended to the span name ("measure" + sensor name);
   /// the concatenation only happens when a recorder is installed, so
   /// call sites may pass names they would not want to build per-call.
-  explicit ObsSpan(Layer layer, std::string_view name,
-                   std::string_view detail = {});
+  [[nodiscard]] explicit ObsSpan(Layer layer, std::string_view name,
+                                 std::string_view detail = {});
   ~ObsSpan();
 
   ObsSpan(const ObsSpan&) = delete;
   ObsSpan& operator=(const ObsSpan&) = delete;
+  static void* operator new(std::size_t) = delete;
 
   /// Marks the span failed and annotates it with the structured error's
   /// one-line description (layer/stage/code/context chain).

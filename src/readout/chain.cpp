@@ -15,8 +15,6 @@ Expected<SignalChain> SignalChain::try_create(ChainConfig config) {
   return SignalChain(std::move(config), Unchecked{});
 }
 
-Current SignalChain::full_scale() const { return config_.tia.full_scale(); }
-
 Expected<electrochem::TimeSeries> SignalChain::try_acquire(
     const electrochem::TimeSeries& ideal, const NoiseSpec& noise,
     Rng& rng) const {

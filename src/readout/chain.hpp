@@ -54,9 +54,6 @@ class SignalChain {
   [[nodiscard]] double measurement_noise_rms_a(const NoiseSpec& noise,
                                                Frequency sample_rate) const;
 
-  /// Largest current before the rails clip.
-  [[nodiscard]] Current full_scale() const;
-
   [[nodiscard]] const ChainConfig& config() const { return config_; }
 
   /// Picks a decade transimpedance gain (10 kohm .. 100 Mohm) such that

@@ -20,11 +20,6 @@ double MovingAverage::push(double x) {
   return sum_ / static_cast<double>(buf_.size());
 }
 
-void MovingAverage::reset() {
-  buf_.clear();
-  sum_ = 0.0;
-}
-
 SinglePoleIir::SinglePoleIir(double alpha) : alpha_(alpha) {
   require<SpecError>(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
 }
@@ -37,11 +32,6 @@ double SinglePoleIir::push(double x) {
     state_ += alpha_ * (x - state_);
   }
   return state_;
-}
-
-void SinglePoleIir::reset() {
-  state_ = 0.0;
-  primed_ = false;
 }
 
 MedianFilter::MedianFilter(std::size_t window) : window_(window) {
@@ -58,7 +48,5 @@ double MedianFilter::push(double x) {
                    tmp.end());
   return tmp[mid];
 }
-
-void MedianFilter::reset() { buf_.clear(); }
 
 }  // namespace biosens::readout

@@ -18,7 +18,6 @@ class MovingAverage {
   /// samples (or of all samples seen, before the window fills).
   [[nodiscard]] double push(double x);
 
-  void reset();
   [[nodiscard]] std::size_t window() const { return window_; }
 
  private:
@@ -34,7 +33,6 @@ class SinglePoleIir {
   explicit SinglePoleIir(double alpha);
 
   [[nodiscard]] double push(double x);
-  void reset();
   [[nodiscard]] double alpha() const { return alpha_; }
 
  private:
@@ -50,7 +48,6 @@ class MedianFilter {
   explicit MedianFilter(std::size_t window);
 
   [[nodiscard]] double push(double x);
-  void reset();
   [[nodiscard]] std::size_t window() const { return window_; }
 
  private:

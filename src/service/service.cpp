@@ -509,10 +509,6 @@ ServiceStats SimulationService::stats() const {
   return stats;
 }
 
-std::size_t SimulationService::worker_count() const {
-  return workers_.size();
-}
-
 double SimulationService::retry_after_hint(PriorityClass cls,
                                            std::uint64_t backlog) const {
   const ClassSlo& slo = slo_[idx(cls)];

@@ -145,7 +145,6 @@ class SimulationService {
     return slo_[static_cast<std::size_t>(cls)];
   }
   [[nodiscard]] ServiceStats stats() const;
-  [[nodiscard]] std::size_t worker_count() const;
 
   /// Prometheus 0.0.4 exposition: per-class SLO counters + histograms,
   /// per-tenant request counters, service gauges; appends the per-layer

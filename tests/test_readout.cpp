@@ -89,8 +89,8 @@ TEST(Filters, IirTracksAndPrimes) {
 
 TEST(Filters, MedianRejectsSpike) {
   MedianFilter f(3);
-  f.push(1.0);
-  f.push(1.0);
+  EXPECT_DOUBLE_EQ(f.push(1.0), 1.0);
+  EXPECT_DOUBLE_EQ(f.push(1.0), 1.0);
   EXPECT_DOUBLE_EQ(f.push(100.0), 1.0);  // spike suppressed
 }
 

@@ -13,17 +13,10 @@ the same tokens.
 Per-file checks (check-id -> invariant):
   throw-discipline        throw/try/catch confined to
                           src/common/{error,expected}.hpp
-  span-temporary          every ObsSpan is a named local, never a
-                          discarded temporary (which would destruct
-                          immediately and record a zero-length span)
   determinism-discipline  std::rand, std::random_device, time(),
                           std::chrono::system_clock and <random> engines
                           confined to the [determinism] allow-list of
                           layers.toml (src/common/rng.* and src/obs/)
-  expected-discard        every call of a try_* function has its
-                          Expected result consumed
-  nodiscard-decl          every try_* declaration returning Expected<T>
-                          carries [[nodiscard]]
   service-discipline      unbounded growth primitives (push_back,
                           emplace_back, push/emplace_front, .push(,
                           thread detach) confined to
@@ -34,9 +27,6 @@ Per-file checks (check-id -> invariant):
                           *Sim types) directly — core reaches
                           signal generation only through the
                           core::Transducer seam
-  recorder-discipline     raw event machinery (EventPhase,
-                          RecorderEvent, record_event) and health-reason
-                          minting (add_reason) confined to src/obs/
   stale-suppression       every `biosens-lint: allow(...)` directive
                           must actually suppress a finding — an allow()
                           that matches nothing is dead weight that
@@ -68,6 +58,10 @@ Whole-program checks:
                           must create an obs::ObsSpan somewhere on its
                           call path, so per-layer latency attribution
                           (docs/observability.md) cannot silently rot.
+
+The compiler, not this tool, rejects a dropped Expected, a temporary or
+heap ObsSpan and raw recorder access from outside src/obs/
+(tests/test_compiler_guards.py).
 
 Output format: file:line: [check-id] message
 Exit codes: 0 clean, 1 findings, 2 tool or configuration error.
@@ -450,33 +444,6 @@ def match_forward(tokens: list, i: int, opener: str, closer: str) -> int:
     return -1
 
 
-def skip_back_over_group(tokens: list, j: int) -> int:
-    """Given tokens[j] a closing ')' or ']', return index before the
-    matching opener; j unchanged if unbalanced."""
-    pairs = {")": "(", "]": "["}
-    opener = pairs[tokens[j].text]
-    closer = tokens[j].text
-    depth = 0
-    for k in range(j, -1, -1):
-        t = tokens[k].text
-        if t == closer:
-            depth += 1
-        elif t == opener:
-            depth -= 1
-            if depth == 0:
-                return k - 1
-    return j
-
-
-STATEMENT_BOUNDARY = {";", "{", "}", "else", "do", "then"}
-CONSUMING_PREV = {
-    "=", "return", "(", ",", "!", "&&", "||", "?", ":", "co_return",
-    "co_await", "co_yield", "+", "-", "*", "/", "%", "<", ">", "<=",
-    ">=", "==", "!=", "&", "|", "^", "<<", ">>", "[", "+=", "-=",
-    "*=", "/=", "case",
-}
-
-
 # --------------------------------------------------------------------------
 # Per-file checks
 # --------------------------------------------------------------------------
@@ -489,8 +456,10 @@ class Check:
 
 
 class ThrowDiscipline(Check):
-    """throw/try/catch are confined to the error-core headers: everything
-    else reports failure as an Expected value (docs/errors.md)."""
+    """throw, try and catch appear only in the error-core headers.
+
+    Everything else reports failure as an Expected value
+    (docs/errors.md)."""
 
     check_id = "throw-discipline"
     ALLOWED = ("src/common/error.hpp", "src/common/expected.hpp")
@@ -508,39 +477,13 @@ class ThrowDiscipline(Check):
         return out
 
 
-class SpanTemporary(Check):
-    """ObsSpan must be a named local: a discarded temporary destructs at
-    the end of the full expression and records a zero-length span."""
-
-    check_id = "span-temporary"
-    ALLOWED_DIRS = ("src/obs/",)
-
-    def run(self, src: SourceFile, cfg: LayerConfig) -> list:
-        if in_dirs(src.effective_path, self.ALLOWED_DIRS):
-            return []
-        out = []
-        toks = src.tokens
-        for i, tok in enumerate(toks):
-            if tok.kind != IDENT or tok.text != "ObsSpan":
-                continue
-            nxt = toks[i + 1].text if i + 1 < len(toks) else ""
-            if nxt not in ("(", "{"):
-                continue  # named local, reference, member type, ...
-            prev = toks[i - 1].text if i > 0 else ""
-            if prev == "new":  # heap span: caught as its own pattern below
-                pass
-            out.append(Finding(
-                src.path, tok.line, self.check_id,
-                "ObsSpan constructed as a discarded temporary — bind it "
-                "to a named local so the span covers the scoped work"))
-        return out
-
-
 class DeterminismDiscipline(Check):
-    """Nondeterminism sources are confined to common/rng (the one seeded
-    generator) and obs/ (wall-clock timestamps are observability-only),
-    so engine/sim-cache byte-identity cannot silently rot. The allow-list
-    is [determinism] in layers.toml, shared with determinism-taint."""
+    """Nondeterminism sources appear only in common/rng and obs/.
+
+    common/rng is the one seeded generator and obs/ reads wall clocks
+    for observability only, so engine/sim-cache byte-identity cannot
+    silently rot. The allow-list is [determinism] in layers.toml,
+    shared with determinism-taint."""
 
     check_id = "determinism-discipline"
     BANNED_IDENTS = {
@@ -601,133 +544,15 @@ class DeterminismDiscipline(Check):
         return out
 
 
-class ExpectedDiscard(Check):
-    """A try_* call whose Expected result is dropped loses the error it
-    was designed to carry; consume it (or suppress with justification)."""
-
-    check_id = "expected-discard"
-    TRY_RE = re.compile(r"try_\w+$")
-
-    def run(self, src: SourceFile, cfg: LayerConfig) -> list:
-        out = []
-        toks = src.tokens
-        for i, tok in enumerate(toks):
-            if tok.kind != IDENT or not self.TRY_RE.match(tok.text):
-                continue
-            if i + 1 >= len(toks) or toks[i + 1].text != "(":
-                continue
-            close = match_forward(toks, i + 1, "(", ")")
-            if close == -1 or close + 1 >= len(toks):
-                continue
-            after = toks[close + 1].text
-            if after != ";":
-                continue  # .value(), chained, compared, passed on, ...
-            # Walk back over the object chain: a.b->c::try_x(...) and
-            # get(i)[j].try_x(...) all reduce to the token before the
-            # chain head. Only `.`/`->`/`::` extend the chain — a bare
-            # `)` right before the call is an if/while/cast context.
-            j = i - 1
-            while j >= 0 and toks[j].text in (".", "->", "::"):
-                j -= 1  # step over the connector
-                while j >= 0 and toks[j].text in (")", "]"):
-                    j = skip_back_over_group(toks, j)
-                if j >= 0 and toks[j].kind in (IDENT, NUMBER):
-                    j -= 1
-            prev = toks[j].text if j >= 0 else "{"
-            if prev in CONSUMING_PREV:
-                continue
-            # A type name / declarator right before the chain head means
-            # this is a function declaration, not a discarded call:
-            # `bool try_submit(Task&& t);`.
-            if j >= 0 and (toks[j].kind == IDENT or prev in
-                           (">", "*", "&", "]", "~")) and \
-                    prev not in STATEMENT_BOUNDARY:
-                continue
-            # `(void)` explicit casts still count: the invariant is
-            # "consumed", and the allow() comment is the audited escape.
-            out.append(Finding(
-                src.path, tok.line, self.check_id,
-                f"result of '{tok.text}' is discarded — the Expected "
-                "carries the failure; check it or bind it"))
-        return out
-
-
-class NodiscardDecl(Check):
-    """Every try_* declaration returning Expected<T> must be
-    [[nodiscard]] so dropped results also fail at compile time."""
-
-    check_id = "nodiscard-decl"
-    DECL_SPECIFIERS = {"static", "inline", "constexpr", "virtual",
-                       "friend", "explicit", "typename", "const"}
-
-    def run(self, src: SourceFile, cfg: LayerConfig) -> list:
-        if not src.effective_path.endswith((".hpp", ".h")):
-            return []
-        out = []
-        toks = src.tokens
-        for i, tok in enumerate(toks):
-            if tok.kind != IDENT or tok.text != "Expected":
-                continue
-            if i + 1 >= len(toks) or toks[i + 1].text != "<":
-                continue
-            close = match_forward(toks, i + 1, "<", ">")
-            if close == -1:
-                continue
-            # Return statements and nested template args are not decls.
-            prev_t = toks[i - 1].text if i > 0 else ""
-            if prev_t in ("return", "<", ",", "(", "new"):
-                continue
-            if prev_t == "::":  # qualified use inside an expression
-                i2 = i - 2
-                while i2 >= 0 and toks[i2].kind == IDENT and i2 - 1 >= 0 \
-                        and toks[i2 - 1].text == "::":
-                    i2 -= 2
-                prev_t = toks[i2 - 1].text if i2 > 0 else ""
-                if prev_t in ("return", "<", ",", "(", "new"):
-                    continue
-            j = close + 1
-            # Optional namespace/class qualification of the declared name.
-            name_idx = -1
-            while j + 1 < len(toks):
-                if toks[j].kind == IDENT and toks[j + 1].text == "::":
-                    j += 2
-                    continue
-                break
-            if j < len(toks) and toks[j].kind == IDENT:
-                name_idx = j
-            if name_idx == -1 or not toks[name_idx].text.startswith("try_"):
-                continue
-            if name_idx + 1 >= len(toks) or toks[name_idx + 1].text != "(":
-                continue
-            # Out-of-line definitions (Class::try_x in a .cpp) carry the
-            # attribute on their in-class declaration instead.
-            if toks[name_idx - 1].text == "::" and name_idx - 2 > close:
-                continue
-            # Scan the decl-specifier run before `Expected` for `]]`.
-            k = i - 1
-            while k >= 0 and (
-                    (toks[k].kind == IDENT
-                     and toks[k].text in self.DECL_SPECIFIERS)
-                    or toks[k].text == "::"
-                    or (toks[k].kind == IDENT and k - 1 >= 0
-                        and toks[k - 1].text == "::")):
-                k -= 1
-            if k >= 1 and toks[k].text == "]" and toks[k - 1].text == "]":
-                continue  # [[nodiscard]] (or another attribute) present
-            out.append(Finding(
-                src.path, tok.line, self.check_id,
-                f"'{toks[name_idx].text}' returns Expected but is not "
-                "[[nodiscard]] — dropped results must fail to compile"))
-        return out
-
-
 class ServiceDiscipline(Check):
-    """src/service/ is the resident, admission-controlled layer: every
-    queue must be bounded so a tenant burst degrades into structured
-    kOverloaded rejections instead of unbounded memory growth. Raw
-    container-growth primitives (and fire-and-forget thread detach) are
-    confined to src/service/bounded.hpp, the audited capacity-checked
-    wrappers everything else must go through."""
+    """Every queue in src/service/ grows through a bounded wrapper.
+
+    src/service/ is the resident, admission-controlled layer: a tenant
+    burst must degrade into structured kOverloaded rejections instead
+    of unbounded memory growth. Raw container-growth primitives (and
+    fire-and-forget thread detach) are confined to
+    src/service/bounded.hpp, the audited capacity-checked wrappers
+    everything else must go through."""
 
     check_id = "service-discipline"
     SCOPE_DIRS = ("src/service/",)
@@ -772,10 +597,12 @@ class ServiceDiscipline(Check):
 
 
 class TransducerDiscipline(Check):
-    """src/core/ orchestrates measurements through the core::Transducer
-    seam (docs/transducers.md); naming an electrochemical simulator type
-    there re-couples core to one transduction family and breaks the
-    multi-backend contract. The simulator types live behind
+    """src/core/ names no electrochemical simulator type.
+
+    Core orchestrates measurements through the core::Transducer seam
+    (docs/transducers.md); naming a simulator type there re-couples
+    core to one transduction family and breaks the multi-backend
+    contract. The simulator types live behind
     src/electrochem/transducer.cpp, the amperometric implementation of
     the seam."""
 
@@ -798,43 +625,8 @@ class TransducerDiscipline(Check):
         return out
 
 
-class RecorderDiscipline(Check):
-    """The flight recorder (the one event store) and the health model
-    observe without perturbing, and that only holds while raw emission
-    stays inside src/obs/: other layers record through ObsSpan,
-    instant and async_end, attribute via FlightRecorder::ScopedContext,
-    signal incidents via the trigger_* helpers, and describe their state
-    through HealthInputs. Direct event construction (EventPhase,
-    RecorderEvent, record_event) or reason fabrication (add_reason)
-    outside src/obs/ bypasses the ring accounting and the policy
-    thresholds (docs/operations.md)."""
-
-    check_id = "recorder-discipline"
-    SCOPE_DIRS = ("src/",)
-    ALLOWED_DIRS = ("src/obs/",)
-    BANNED = {"EventPhase", "record_event", "RecorderEvent", "add_reason"}
-
-    def run(self, src: SourceFile, cfg: LayerConfig) -> list:
-        if not in_dirs(src.effective_path, self.SCOPE_DIRS):
-            return []
-        if in_dirs(src.effective_path, self.ALLOWED_DIRS):
-            return []
-        out = []
-        for tok in src.tokens:
-            if tok.kind == IDENT and tok.text in self.BANNED:
-                out.append(Finding(
-                    src.path, tok.line, self.check_id,
-                    f"recorder/health primitive '{tok.text}' outside "
-                    "src/obs/ — record through ObsSpan / instant / "
-                    "async_end, attribute via "
-                    "FlightRecorder::ScopedContext, signal via "
-                    "trigger_overload / trigger_job_failure, and report "
-                    "state through HealthInputs (docs/operations.md)"))
-        return out
-
-
 class StaleSuppression:
-    """every `biosens-lint: allow(...)` directive must suppress a finding
+    """Every `biosens-lint: allow(...)` directive suppresses a finding.
 
     Runs after apply_suppressions() has recorded which directives fired
     for the findings of every other check, per-file and whole-program
@@ -918,7 +710,9 @@ class FunctionDef:
     path: str            # on-disk path
     eff: str             # repo-relative path used for scoping rules
     line: int            # line of the name token
-    body: tuple          # token indices of its '{' and '}' in its file
+    body: tuple          # token range scanned for calls: from after the
+                         # parameter list (a constructor's initializer
+                         # list included) to the body's closing '}'
     hot: bool = False    # carries (or matches a decl carrying) BIOSENS_HOT
     cls: str = ""        # enclosing/qualifying class name
     calls: list = field(default_factory=list)   # [(name, qual, line, member)]
@@ -1130,11 +924,11 @@ def extract_file(src: SourceFile, graph: Graph) -> None:
         if body_close == -1:
             body_close = n - 1
         d = FunctionDef(name=name, qual=qual, path=src.path, eff=eff,
-                        line=tok.line, body=(body, body_close), hot=hot,
-                        cls=quals[-1] if quals else "")
+                        line=tok.line, body=(close + 1, body_close),
+                        hot=hot, cls=quals[-1] if quals else "")
         body_opens[body] = d
         defs.append(d)
-        i = close + 1  # bodies may nest lambdas; keep scanning inside
+        i = body  # past any initializer list; bodies may nest lambdas
 
     for cls, name, line in _walk_scopes(toks, body_opens):
         graph.entry_decls.append((eff, line, cls, name))
@@ -1147,10 +941,16 @@ def extract_file(src: SourceFile, graph: Graph) -> None:
         _scan_body(toks, d, spans)
     graph.defs.extend(defs)
 
-    graph.namespaces.update(
-        toks[k + 1].text for k in range(n - 1)
-        if toks[k].kind == IDENT and toks[k].text == "namespace"
-        and toks[k + 1].kind == IDENT)
+    for k in range(n - 1):
+        if toks[k].kind != IDENT or toks[k].text != "namespace":
+            continue
+        # Every component of `namespace a::b::c {`.
+        m = k + 1
+        while m < n and toks[m].kind == IDENT:
+            graph.namespaces.add(toks[m].text)
+            if m + 1 >= n or toks[m + 1].text != "::":
+                break
+            m += 2
     for line, target in src.includes:
         resolved = _resolve_include(target, graph.files)
         if resolved:
@@ -1362,7 +1162,7 @@ def _path_of(graph: Graph, parent: dict, idx: int) -> str:
 
 
 def check_hot_path(graph: Graph, cfg: LayerConfig) -> list:
-    """BIOSENS_HOT code reaches no allocation, std::function, throw or lock"""
+    """BIOSENS_HOT code reaches no allocation, std::function, throw or lock."""
     check_id = "hot-path-transitive"
     banned = {ALLOC, STDFUNCTION, MUTEX, THROWING}
 
@@ -1395,7 +1195,7 @@ def check_hot_path(graph: Graph, cfg: LayerConfig) -> list:
 
 
 def check_determinism(graph: Graph, cfg: LayerConfig) -> list:
-    """simulation roots reach no nondeterminism source off the allow-list"""
+    """Simulation roots reach no nondeterminism source off the allow-list."""
     check_id = "determinism-taint"
 
     def allowed(d: FunctionDef) -> bool:
@@ -1435,7 +1235,7 @@ def check_determinism(graph: Graph, cfg: LayerConfig) -> list:
 
 
 def check_layer_dag(graph: Graph, cfg: LayerConfig) -> list:
-    """includes and calls follow the sanctioned edges in layers.toml"""
+    """Includes and calls follow the sanctioned edges in layers.toml."""
     check_id = "layer-dag"
     out = []
     for eff in sorted(graph.includes):
@@ -1494,7 +1294,7 @@ def check_layer_dag(graph: Graph, cfg: LayerConfig) -> list:
 
 
 def check_span_coverage(graph: Graph, cfg: LayerConfig) -> list:
-    """public try_* facade entries create an ObsSpan on some call path"""
+    """Public try_* facade entries create an ObsSpan on some call path."""
     check_id = "span-coverage"
     entry_set = {_norm(h) for h in cfg.entry_headers}
     out = []
@@ -1525,10 +1325,8 @@ def check_span_coverage(graph: Graph, cfg: LayerConfig) -> list:
     return out
 
 
-FILE_CHECKS = [ThrowDiscipline(), SpanTemporary(),
-               DeterminismDiscipline(), ExpectedDiscard(), NodiscardDecl(),
-               ServiceDiscipline(),
-               TransducerDiscipline(), RecorderDiscipline()]
+FILE_CHECKS = [ThrowDiscipline(), DeterminismDiscipline(),
+               ServiceDiscipline(), TransducerDiscipline()]
 STALE = StaleSuppression()
 GRAPH_CHECKS = {
     "hot-path-transitive": check_hot_path,

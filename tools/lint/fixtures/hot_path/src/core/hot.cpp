@@ -85,4 +85,34 @@ BIOSENS_HOT double hot_guarded(double x) {
   return x;
 }
 
+// An allocation in a constructor's member-initializer list.
+struct Leaky {
+  explicit Leaky(int v);
+  std::unique_ptr<int> p;
+};
+
+Leaky::Leaky(int v) : p(std::make_unique<int>(v)) {}
+
+BIOSENS_HOT int hot_ctor_init_path(int v) {
+  const Leaky leaky(v);
+  return *leaky.p;
+}
+
+}  // namespace fix
+
+// An allocation reached through a call qualified by a nested namespace.
+namespace fix::leak {
+
+double* leaky_helper() {
+  return new double[1];
+}
+
+}  // namespace fix::leak
+
+namespace fix {
+
+BIOSENS_HOT double hot_qualified_path() {
+  return *leak::leaky_helper();
+}
+
 }  // namespace fix

@@ -1,15 +1,11 @@
 // Clean counterpart: an allow() that fires is left alone.
-#include "common/expected.hpp"
 
 namespace biosens::core {
 
-struct FixtureStaleSensor {
-  [[nodiscard]] Expected<double> try_measure(double x) const;
-};
-
-void fixture_live_suppression(const FixtureStaleSensor& sensor) {
-  // Fires: the discarded Expected below is a real finding.
-  sensor.try_measure(6.0);  // biosens-lint: allow(expected-discard)
+int fixture_live_suppression(int x) {
+  // Fires: the throw below is a real finding.
+  if (x < 0) throw x;  // biosens-lint: allow(throw-discipline)
+  return x;
 }
 
 }  // namespace biosens::core

@@ -1,17 +1,16 @@
 // Suppressions that match nothing: the code they cover is legal, so
 // each allow() is dead weight silently blessing a future regression.
-#include "common/expected.hpp"
+#include <vector>
 
 namespace biosens::core {
 
-[[nodiscard]] Expected<double> try_fixture_stale(double x);
-
-Expected<double> fixture_consumed_anyway() {
-  // The result IS consumed, so nothing fires here.  SEED below:
-  // biosens-lint: allow(expected-discard)
-  auto result = try_fixture_stale(2.0);
-  if (!result.has_value()) return result.error();
-  return result.value();
+std::vector<double> fixture_growth_outside_service() {
+  std::vector<double> out;
+  // Unbounded growth is banned in src/service/ only, so nothing fires
+  // here.  SEED below:
+  // biosens-lint: allow(service-discipline)
+  out.push_back(2.0);
+  return out;
 }
 
 double fixture_no_banned_primitive() {
