@@ -30,13 +30,7 @@ DiffusionField::DiffusionField(Diffusivity d, DiffusionGrid grid,
   diag_.assign(n, 0.0);
   upper_.assign(n - 1, 0.0);
   rhs_.assign(n, 0.0);
-}
-
-void DiffusionField::reset(Concentration bulk) {
-  require<SpecError>(bulk.milli_molar() >= 0.0,
-                     "bulk concentration must be non-negative");
-  bulk_ = bulk;
-  std::fill(c_.begin(), c_.end(), bulk.milli_molar());
+  g_.assign(n, 0.0);
 }
 
 Concentration DiffusionField::surface_concentration() const {
@@ -91,6 +85,11 @@ void DiffusionField::ensure_factorization(Boundary boundary, double dt_s,
   diag_[n - 1] = 1.0;
 
   factorization_.factor(lower_, diag_, upper_);
+  if (boundary == Boundary::kFlux) {
+    std::fill(g_.begin(), g_.end(), 0.0);
+    g_[0] = 1.0;
+    factorization_.solve(g_, g_);
+  }
   cached_boundary_ = boundary;
   cached_dt_s_ = dt_s;
   cached_sink_ = sink;
@@ -105,22 +104,22 @@ void DiffusionField::prepare_flux_step(Time dt) {
   const double lambda = d_.m2_per_s() * dt_s / (dx_ * dx_);
   const double half = 0.5 * lambda;
 
-  // The right-hand side depends only on the pre-step profile, so the
-  // fixed-point iterations share everything but rhs[0]'s flux term.
-  pre_step_c0_ = c_[0];
-  rhs0_base_ = c_[0] * (1.0 - lambda) + lambda * c_[1];
+  // Row 0 without its flux term: the step is linear in the flux, which
+  // apply_flux_drop subtracts afterwards along g_.
+  rhs_[0] = c_[0] * (1.0 - lambda) + lambda * c_[1];
   for (std::size_t i = 1; i + 1 < n; ++i) {
     rhs_[i] = half * c_[i - 1] + (1.0 - lambda) * c_[i] + half * c_[i + 1];
   }
   rhs_[n - 1] = bulk_.milli_molar();
+  factorization_.solve(rhs_, c_);
 }
 
-BIOSENS_HOT void DiffusionField::advance_prepared_flux(Time dt,
-                                                       double surface_flux) {
-  rhs_[0] = rhs0_base_ - 2.0 * surface_flux * dt.seconds() / dx_;
-  factorization_.solve(rhs_, c_);
-  // Numerical round-off can leave tiny negatives near a hard sink.
-  for (double& v : c_) v = std::max(v, 0.0);
+BIOSENS_HOT void DiffusionField::apply_flux_drop(double drop) {
+  const std::size_t n = c_.size();
+  // Clamping also absorbs round-off negatives near a hard sink.
+  for (std::size_t i = 0; i < n; ++i) {
+    c_[i] = std::max(c_[i] - drop * g_[i], 0.0);
+  }
 }
 
 BIOSENS_HOT double DiffusionField::step_clamped_surface(Time dt,

@@ -10,10 +10,13 @@
 // and the boundary mode, none of which change between steps of one run,
 // so its Thomas-algorithm forward elimination is factored once and reused
 // (invalidated automatically when dt, the boundary mode, or an affine
-// sink rate changes). The surface-flux callable of step_reactive_surface
-// is a template parameter, so the fixed-point inner loop inlines the
-// Michaelis-Menten evaluation instead of paying a std::function
-// indirection per iteration. No step allocates.
+// sink rate changes). A reactive step is linear in the applied surface
+// flux J: its post-step profile is u - (2 dt/dx) J g, with u the solve
+// at J = 0 (one per step) and g = A^-1 e0 (one per factorization), so
+// the fixed-point iteration runs on the surface value alone
+// (solve_surface_flux). The surface-flux callable is a template
+// parameter, so that loop inlines the Michaelis-Menten evaluation. No
+// step allocates.
 //
 // Boundary conditions:
 //  - x = 0 (electrode): either a concentration clamp (diffusion-limited
@@ -49,6 +52,43 @@ struct DiffusionGrid {
 [[nodiscard]] double recommended_domain_length_m(Diffusivity d,
                                                  Time duration);
 
+/// Outcome of one reactive step's surface-flux iteration.
+struct SurfaceFluxSolve {
+  double flux;  ///< the step's consumption flux [mol m^-2 s^-1]
+  double drop;  ///< (2 dt/dx) * last applied flux: profile = u - drop * g
+};
+
+/// The reactive step's fixed-point iteration on the scalar surface value
+/// c0(J) = max(u0 - (k*J)*g0, 0), k = 2 dt/dx, starting from the flux at
+/// the pre-step surface concentration. Damping 0.5, relative tolerance
+/// 1e-8, at most 12 iterations. On convergence it returns the updated
+/// flux; at the cap, the damped one. `drop` is always k times the last
+/// *applied* flux, the product the final c0 was read at. Shared by
+/// DiffusionField and DiffusionFieldBatch, so each batch lane runs the
+/// exact serial arithmetic.
+template <typename FluxFn>
+BIOSENS_HOT SurfaceFluxSolve solve_surface_flux(FluxFn&& flux_of_surface,
+                                                double pre_step_c0, double u0,
+                                                double g0, double k) {
+  constexpr int kMaxIterations = 12;
+  constexpr double kRelTol = 1e-8;
+
+  double flux = flux_of_surface(pre_step_c0);
+  double drop = 0.0;
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
+    drop = k * flux;
+    const double updated = flux_of_surface(std::max(u0 - drop * g0, 0.0));
+    const double scale = std::max({std::abs(flux), std::abs(updated), 1e-30});
+    if (std::abs(updated - flux) <= kRelTol * scale) {
+      return {updated, drop};
+    }
+    // Damped update keeps the iteration contractive even when the
+    // Michaelis-Menten flux is steep near full depletion.
+    flux = 0.5 * (flux + updated);
+  }
+  return {flux, drop};
+}
+
 /// Evolving 1-D concentration field of a single species.
 class DiffusionField {
  public:
@@ -64,30 +104,18 @@ class DiffusionField {
   /// Advances one step with a reactive surface sink. `flux_of_surface`
   /// maps the surface concentration [mM == mol/m^3] to the consumed molar
   /// flux [mol m^-2 s^-1] (typically Gamma * k_cat * c/(K_M + c)).
-  /// Returns the converged consumption flux for this step. The callable
-  /// is evaluated once per fixed-point iteration, inlined.
+  /// Returns the consumption flux solve_surface_flux settles on; the
+  /// profile is the one at the last applied flux. One linear solve per
+  /// step, and the callable is evaluated once per iteration, inlined.
   template <typename FluxFn>
   BIOSENS_HOT double step_reactive_surface(Time dt, FluxFn&& flux_of_surface) {
     require<NumericsError>(dt.seconds() > 0.0, "time step must be positive");
+    const double pre_step_c0 = c_[0];
     prepare_flux_step(dt);
-
-    double flux = flux_of_surface(pre_step_c0_);
-    constexpr int kMaxIterations = 12;
-    constexpr double kRelTol = 1e-8;
-
-    for (int iter = 0; iter < kMaxIterations; ++iter) {
-      advance_prepared_flux(dt, flux);
-      const double updated = flux_of_surface(c_[0]);
-      const double scale =
-          std::max({std::abs(flux), std::abs(updated), 1e-30});
-      if (std::abs(updated - flux) <= kRelTol * scale) {
-        return updated;
-      }
-      // Damped update keeps the iteration contractive even when the
-      // Michaelis-Menten flux is steep near full depletion.
-      flux = 0.5 * (flux + updated);
-    }
-    return flux;
+    const SurfaceFluxSolve step = solve_surface_flux(
+        flux_of_surface, pre_step_c0, c_[0], g_[0], 2.0 * dt.seconds() / dx_);
+    apply_flux_drop(step.drop);
+    return step.flux;
   }
 
   /// Advances one step with an *affine* surface sink
@@ -107,9 +135,6 @@ class DiffusionField {
     return c_;
   }
 
-  /// Resets the field to a (possibly new) uniform bulk concentration.
-  void reset(Concentration bulk);
-
   [[nodiscard]] const DiffusionGrid& grid() const { return grid_; }
   [[nodiscard]] Concentration bulk() const { return bulk_; }
   [[nodiscard]] double node_spacing_m() const { return dx_; }
@@ -126,18 +151,18 @@ class DiffusionField {
   enum class Boundary { kNone, kClamped, kFlux, kAffine };
 
   /// Ensures the cached factorization matches (boundary, dt, sink);
-  /// reassembles and refactors only when the key changed.
+  /// reassembles and refactors only when the key changed. A kFlux
+  /// refactor also recomputes g_.
   void ensure_factorization(Boundary boundary, double dt_s, double sink);
 
-  /// Snapshots the pre-step profile into the Crank-Nicolson right-hand
-  /// side (interior + bulk rows, and the flux-independent part of row 0)
-  /// and ensures the kFlux factorization. Called once per reactive step;
-  /// the fixed-point iterations then only rewrite rhs element 0.
+  /// Ensures the kFlux factorization and solves the step at zero surface
+  /// flux: c_ then holds u, the post-step profile before the surface
+  /// flux is applied.
   void prepare_flux_step(Time dt);
 
-  /// One linear solve of the prepared system at a fixed surface flux;
-  /// writes the post-step (clamped non-negative) profile into c_.
-  void advance_prepared_flux(Time dt, double surface_flux);
+  /// Writes the post-step profile max(u - drop * g, 0) over the u that
+  /// prepare_flux_step left in c_.
+  void apply_flux_drop(double drop);
 
   /// Second-order one-sided estimate of -D * dc/dx at x = 0 (mol/m^2/s,
   /// positive when material flows into the electrode plane).
@@ -159,10 +184,9 @@ class DiffusionField {
   double cached_dt_s_ = -1.0;
   double cached_sink_ = 0.0;
   std::uint64_t factorizations_ = 0;
-  // Flux-independent piece of rhs[0] for the current reactive step, and
-  // the pre-step surface concentration the first flux guess reads.
-  double rhs0_base_ = 0.0;
-  double pre_step_c0_ = 0.0;
+  // Response of the kFlux matrix to a unit surface source, A^-1 e0: an
+  // applied flux lowers the post-step profile by drop * g_.
+  std::vector<double> g_;
 };
 
 }  // namespace biosens::transport

@@ -32,10 +32,9 @@ DiffusionFieldBatch::DiffusionFieldBatch(Diffusivity d, DiffusionGrid grid,
   diag_.assign(n, 0.0);
   upper_.assign(n - 1, 0.0);
   rhs_.assign(n * lanes_, 0.0);
-  rhs0_base_.assign(lanes_, 0.0);
+  g_.assign(n, 0.0);
   pre_step_c0_.assign(lanes_, 0.0);
-  advance_flux_.assign(lanes_, 0.0);
-  converged_.assign(lanes_, 0);
+  drop_.assign(lanes_, 0.0);
 }
 
 void DiffusionFieldBatch::reset(std::span<const Concentration> bulks) {
@@ -121,6 +120,11 @@ void DiffusionFieldBatch::ensure_factorization(Boundary boundary, double dt_s,
   diag_[n - 1] = 1.0;
 
   factorization_.factor(lower_, diag_, upper_);
+  if (boundary == Boundary::kFlux) {
+    std::fill(g_.begin(), g_.end(), 0.0);
+    g_[0] = 1.0;
+    factorization_.solve(g_, g_);
+  }
   cached_boundary_ = boundary;
   cached_dt_s_ = dt_s;
   cached_sink_ = sink;
@@ -150,21 +154,21 @@ void DiffusionFieldBatch::prepare_flux_step(Time dt) {
 
   const double lambda = d_.m2_per_s() * dt_s / (dx_ * dx_);
   for (std::size_t k = 0; k < lanes_; ++k) {
-    pre_step_c0_[k] = c_[k];
-    rhs0_base_[k] = c_[k] * (1.0 - lambda) + lambda * c_[lanes_ + k];
+    rhs_[k] = c_[k] * (1.0 - lambda) + lambda * c_[lanes_ + k];
   }
   assemble_interior_rhs(lambda);
+  factorization_.solve_many(rhs_, c_, lanes_);
 }
 
-BIOSENS_HOT void DiffusionFieldBatch::advance_prepared_flux(
-    Time dt, std::span<const double> fluxes) {
-  const double dt_s = dt.seconds();
-  for (std::size_t k = 0; k < lanes_; ++k) {
-    rhs_[k] = rhs0_base_[k] - 2.0 * fluxes[k] * dt_s / dx_;
+BIOSENS_HOT void DiffusionFieldBatch::apply_flux_drops() {
+  const std::size_t n = grid_.nodes;
+  for (std::size_t i = 0; i < n; ++i) {
+    double* ci = c_.data() + i * lanes_;
+    for (std::size_t k = 0; k < lanes_; ++k) {
+      // The serial field's expression, lane by lane — bit-identity.
+      ci[k] = std::max(ci[k] - drop_[k] * g_[i], 0.0);
+    }
   }
-  factorization_.solve_many(rhs_, c_, lanes_);
-  // Numerical round-off can leave tiny negatives near a hard sink.
-  for (double& v : c_) v = std::max(v, 0.0);
 }
 
 BIOSENS_HOT void DiffusionFieldBatch::step_clamped_surface(

@@ -12,17 +12,16 @@
 //
 // Identity contract: each lane's profile and flux history is
 // bit-identical to an independent DiffusionField stepped through the
-// same schedule. The per-lane arithmetic is the exact serial sequence;
-// the reactive fixed-point loop freezes a lane's advance flux the
-// moment that lane converges, so re-solving a frozen lane (the linear
-// solve reads only the pre-step right-hand side) is idempotent and a
-// lane that converges early is unaffected by slower lanes in the same
-// batch. tests/test_diffusion_batch.cpp pins this for K in {1,3,8,17}
-// across mixed boundary schedules.
+// same schedule. The per-lane arithmetic is the exact serial sequence: a
+// reactive step solves every lane once at zero surface flux
+// (solve_many, per lane bit-identical to solve), then runs each lane's
+// scalar iteration through the serial stepper's own solve_surface_flux
+// against one shared g = A^-1 e0, and writes each lane's profile from
+// its own last applied flux. No lane waits on another.
+// tests/test_diffusion_batch.cpp pins this for K in {1,3,8,17} across
+// mixed boundary schedules.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -56,47 +55,27 @@ class DiffusionFieldBatch {
   /// Lockstep counterpart of DiffusionField::step_reactive_surface.
   /// `flux_of_surface(lane, c0_mm)` maps a lane's surface concentration
   /// to its consumed molar flux; it is evaluated once per lane per
-  /// fixed-point iteration, inlined. Converged per-lane fluxes land in
-  /// `flux_out` (size lanes()). Per lane the iteration count, damping,
-  /// and convergence test replicate the serial stepper exactly.
+  /// fixed-point iteration, inlined. Per-lane fluxes land in `flux_out`
+  /// (size lanes()). One batched solve per step; each lane then runs
+  /// solve_surface_flux, the serial stepper's own iteration.
   template <typename FluxFn>
   BIOSENS_HOT void step_reactive_surface(Time dt, FluxFn&& flux_of_surface,
                                          std::span<double> flux_out) {
     require<NumericsError>(dt.seconds() > 0.0, "time step must be positive");
     require<NumericsError>(flux_out.size() == lanes_,
                            "flux_out size mismatch");
+    for (std::size_t k = 0; k < lanes_; ++k) pre_step_c0_[k] = c_[k];
     prepare_flux_step(dt);
 
+    const double drop_per_flux = 2.0 * dt.seconds() / dx_;
     for (std::size_t k = 0; k < lanes_; ++k) {
-      advance_flux_[k] = flux_of_surface(k, pre_step_c0_[k]);
-      converged_[k] = 0;
+      const SurfaceFluxSolve step = solve_surface_flux(
+          [&](double c0) { return flux_of_surface(k, c0); }, pre_step_c0_[k],
+          c_[k], g_[0], drop_per_flux);
+      flux_out[k] = step.flux;
+      drop_[k] = step.drop;
     }
-    constexpr int kMaxIterations = 12;
-    constexpr double kRelTol = 1e-8;
-
-    std::size_t active = lanes_;
-    for (int iter = 0; iter < kMaxIterations && active > 0; ++iter) {
-      // Every lane advances — a frozen lane re-solves with its frozen
-      // flux, which rewrites the same post-step profile (the solve
-      // reads only the pre-step rhs), so early convergence is exact.
-      advance_prepared_flux(dt, advance_flux_);
-      for (std::size_t k = 0; k < lanes_; ++k) {
-        if (converged_[k] != 0) continue;
-        const double flux = advance_flux_[k];
-        const double updated = flux_of_surface(k, c_[k]);
-        const double scale =
-            std::max({std::abs(flux), std::abs(updated), 1e-30});
-        if (std::abs(updated - flux) <= kRelTol * scale) {
-          flux_out[k] = updated;
-          converged_[k] = 1;
-          --active;
-          continue;
-        }
-        // Damped update — identical to the serial stepper.
-        advance_flux_[k] = 0.5 * (flux + updated);
-        if (iter + 1 == kMaxIterations) flux_out[k] = advance_flux_[k];
-      }
-    }
+    apply_flux_drops();
   }
 
   /// Lockstep counterpart of DiffusionField::step_affine_surface:
@@ -137,14 +116,13 @@ class DiffusionFieldBatch {
   /// Shared-matrix twin of DiffusionField::ensure_factorization.
   void ensure_factorization(Boundary boundary, double dt_s, double sink);
 
-  /// Snapshots every lane's pre-step profile into the Crank-Nicolson
-  /// right-hand side block and ensures the kFlux factorization.
+  /// Ensures the kFlux factorization and solves every lane at zero
+  /// surface flux: c_ then holds each lane's u.
   void prepare_flux_step(Time dt);
 
-  /// One batched linear solve at fixed per-lane surface fluxes; writes
-  /// the post-step (clamped non-negative) profiles into c_.
-  BIOSENS_HOT void advance_prepared_flux(Time dt,
-                                         std::span<const double> fluxes);
+  /// Writes each lane's post-step profile max(u - drop_[k] * g, 0) over
+  /// the u that prepare_flux_step left in c_.
+  BIOSENS_HOT void apply_flux_drops();
 
   /// Interior + bulk right-hand-side rows from the current profiles
   /// (shared by the clamped and affine steps).
@@ -160,11 +138,10 @@ class DiffusionFieldBatch {
   std::vector<double> c_;        ///< SoA profiles, node-major interleaved
   // Scratch reused across steps — no hot-path allocation.
   std::vector<double> lower_, diag_, upper_;
-  std::vector<double> rhs_;            ///< SoA right-hand side block
-  std::vector<double> rhs0_base_;      ///< flux-independent rhs row 0
-  std::vector<double> pre_step_c0_;    ///< pre-step surface concentrations
-  std::vector<double> advance_flux_;   ///< per-lane fixed-point flux
-  std::vector<std::uint8_t> converged_;
+  std::vector<double> rhs_;          ///< SoA right-hand side block
+  std::vector<double> g_;            ///< shared kFlux response A^-1 e0
+  std::vector<double> pre_step_c0_;  ///< pre-step surface concentrations
+  std::vector<double> drop_;         ///< per-lane (2 dt/dx) * applied flux
   TridiagonalFactorization factorization_;
   Boundary cached_boundary_ = Boundary::kNone;
   double cached_dt_s_ = -1.0;

@@ -113,17 +113,31 @@ TEST(Diffusion, ProfileStaysWithinPhysicalBounds) {
   EXPECT_LT(profile.front(), profile.back());
 }
 
-TEST(Diffusion, ResetRestoresUniformField) {
-  DiffusionField field(Diffusivity::m2_per_s(kD), DiffusionGrid{25e-6, 50},
-                       Concentration::milli_molar(1.0));
-  for (int k = 0; k < 50; ++k) {
-    field.step_clamped_surface(Time::milliseconds(5.0), Concentration{});
+TEST(Diffusion, LinearReactiveSinkMatchesAffineStep) {
+  // A first-order sink J = kappa * c0 is the affine step with rate kappa
+  // and no production, which folds the sink into the matrix. The
+  // reactive step must solve the same system, including after the dt
+  // switch refactors the matrix halfway.
+  for (const double kappa : {4e-6, 4e-5, 4e-4}) {
+    const DiffusionGrid grid{25e-6, 80};
+    const Concentration bulk = Concentration::milli_molar(1.0);
+    DiffusionField reactive(Diffusivity::m2_per_s(kD), grid, bulk);
+    DiffusionField affine(Diffusivity::m2_per_s(kD), grid, bulk);
+    const auto sink = [kappa](double c) { return kappa * c; };
+    for (int k = 0; k < 2000; ++k) {
+      const Time dt = Time::milliseconds(k < 1000 ? 5.0 : 10.0);
+      const double flux = reactive.step_reactive_surface(dt, sink);
+      const double reference = affine.step_affine_surface(dt, kappa, 0.0);
+      ASSERT_NEAR(flux, reference, 1e-4 * std::abs(reference))
+          << "kappa " << kappa << " step " << k;
+      const auto profile = reactive.profile_milli_molar();
+      const auto expected = affine.profile_milli_molar();
+      for (std::size_t i = 0; i < profile.size(); ++i) {
+        ASSERT_NEAR(profile[i], expected[i], 1e-5)
+            << "kappa " << kappa << " step " << k << " node " << i;
+      }
+    }
   }
-  field.reset(Concentration::milli_molar(4.0));
-  for (double c : field.profile_milli_molar()) {
-    EXPECT_DOUBLE_EQ(c, 4.0);
-  }
-  EXPECT_DOUBLE_EQ(field.bulk().milli_molar(), 4.0);
 }
 
 TEST(Diffusion, RecommendedDomainContainsDepletionLayer) {
