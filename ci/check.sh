@@ -31,7 +31,10 @@
 #  11. e2e                the end-to-end benchmark's own tests
 #                         (e2ebench/test_e2ebench.py): builds e2ebench/
 #                         from src/ and runs every workload briefly, so
-#                         a src/ API change cannot break it unnoticed
+#                         a src/ API change cannot break it unnoticed;
+#                         then one traced 4 s run per workload, which
+#                         checks the ledger's closure bound and replays
+#                         the full subset bit for bit
 #
 # A per-stage wall-time summary table is printed at the end of the run.
 #
@@ -545,12 +548,24 @@ PY
 }
 
 run_e2e() {
-  echo "=== [11/11] End-to-end benchmark: its own tests (quick mode) ==="
+  echo "=== [11/11] End-to-end benchmark: its own tests (quick mode) + traced runs ==="
   # Neither the release stage nor CTest compiles e2ebench/; its tests
   # build it from src/ the way python3 e2ebench/run.py does, then check
   # the self-test binary, quick runs of every workload and the
   # BENCHMARK.json manifest.
   python3 e2ebench/test_e2ebench.py
+  # Quick runs skip two checks that only a traced run makes: the
+  # per-layer ledger must close within 15% of the measured time, and the
+  # full replay subset (48 session readings on poc_sessions, 320 items
+  # on cohort_warm) must match try_measure bit for bit. A change that
+  # moves result bytes or per-layer costs trips these here first. Each
+  # run takes about 5 s.
+  local workload
+  for workload in cohort_cold cohort_warm poc_sessions; do
+    echo "--- traced run: ${workload} ---"
+    python3 e2ebench/run.py --workload "${workload}" --seed 1 --seconds 4 \
+      --trace 1
+  done
 }
 
 case "${STAGE}" in

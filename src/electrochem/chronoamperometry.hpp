@@ -22,8 +22,17 @@ namespace biosens::electrochem {
 /// Numerical and protocol options for a chronoamperometric run.
 struct ChronoOptions {
   Time duration = Time::seconds(30.0);
+  /// Also the readout's sample period: the white-noise rms, and with it
+  /// the LOD, depends on it.
   Time dt = Time::milliseconds(25.0);
-  std::size_t grid_nodes = 80;
+  /// Sized for the stirred cell's Nernst-layer domain: the smallest count
+  /// at which every chrono row of full_catalog() keeps its reading within
+  /// 1e-6, t95 within 2 dt, the trace from 0.5 s within 1% of the final
+  /// current and the peak within 1% of a 320-node run
+  /// (test_chrono_convergence, docs/PHYSICS.md §3). A quiescent run's
+  /// 6 sqrt(D t) domain is far wider: it needs >= 80 nodes to keep its
+  /// tail within 0.04% and t95 within 25 ms of a 640-node run.
+  std::size_t grid_nodes = 20;
   bool include_capacitive = true;
   bool include_interferents = true;
 };

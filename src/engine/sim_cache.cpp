@@ -89,12 +89,4 @@ SimCacheStats SimCache::stats() const {
   return s;
 }
 
-void SimCache::clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->lru.clear();
-    shard->index.clear();
-  }
-}
-
 }  // namespace biosens::engine

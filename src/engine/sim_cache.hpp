@@ -161,9 +161,6 @@ class SimCache {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
-  /// Drops every entry (counters keep accumulating).
-  void clear();
-
  private:
   struct Entry {
     CacheKey key;

@@ -121,16 +121,6 @@ TEST(SimCache, ReplacesValueForAnExistingKey) {
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
-TEST(SimCache, ClearDropsEntriesButKeepsCounters) {
-  SimCache cache(SimCacheOptions{.capacity = 4, .shards = 2});
-  (void)cache.put<int>(key_of(1), 1);
-  ASSERT_NE(cache.find_as<int>(key_of(1)), nullptr);
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.find_as<int>(key_of(1)), nullptr);
-}
-
 // --- simulation_key sensitivity ------------------------------------
 
 TEST(SimulationKey, MissesWhenAnySpecFieldChanges) {
