@@ -38,7 +38,6 @@
 #include "core/workloads.hpp"
 #include "engine/engine.hpp"
 #include "transport/diffusion.hpp"
-#include "transport/diffusion_batch.hpp"
 
 namespace {
 
@@ -111,92 +110,7 @@ SolverRun solver_bench(std::size_t nodes, std::size_t steps) {
   return run;
 }
 
-// --- Section 2: batched lockstep cohort stepping -------------------
-
-struct BatchedRun {
-  std::size_t lanes = 0;
-  double serial_steps_per_sec = 0.0;   ///< aggregate lane-steps/s, K fields
-  double batched_steps_per_sec = 0.0;  ///< aggregate lane-steps/s, one batch
-  double speedup = 0.0;
-  std::uint64_t serial_factorizations = 0;  ///< summed over the K fields
-  std::uint64_t batched_factorizations = 0;
-  bool bit_identical = true;
-};
-
-/// K per-patient reactive sweeps: the current per-field path (cached
-/// factorization, inlined flux) against one DiffusionFieldBatch
-/// stepping the same K lanes in lockstep. Both integrate the same
-/// randomized per-lane bulks; final profiles must agree bit-for-bit.
-BatchedRun batched_bench(std::size_t lanes, std::size_t nodes,
-                         std::size_t steps) {
-  const Time dt = Time::milliseconds(25.0);
-  const Diffusivity d = Diffusivity::cm2_per_s(6.7e-6);
-  const transport::DiffusionGrid grid{.length_m = 200e-6, .nodes = nodes};
-  std::vector<Concentration> bulks;
-  bulks.reserve(lanes);
-  Rng rng(5150 + lanes);
-  for (std::size_t k = 0; k < lanes; ++k) {
-    bulks.push_back(Concentration::milli_molar(rng.uniform(0.5, 1.5)));
-  }
-
-  BatchedRun run;
-  run.lanes = lanes;
-  double serial_s = 1e18;
-  double batched_s = 1e18;
-  std::vector<std::vector<double>> serial_profiles(lanes);
-  for (int rep = 0; rep < 3; ++rep) {
-    {  // per-patient: K independent fields, stepped one at a time
-      std::vector<transport::DiffusionField> fields;
-      fields.reserve(lanes);
-      for (std::size_t k = 0; k < lanes; ++k) {
-        fields.emplace_back(d, grid, bulks[k]);
-      }
-      const engine::Stopwatch watch;
-      double sink = 0.0;
-      for (std::size_t i = 0; i < steps; ++i) {
-        for (std::size_t k = 0; k < lanes; ++k) {
-          sink += fields[k].step_reactive_surface(
-              dt, [](double c0) { return mm_flux(c0); });
-        }
-      }
-      benchmark::DoNotOptimize(sink);
-      serial_s = std::min(serial_s, watch.elapsed_seconds());
-      run.serial_factorizations = 0;
-      for (std::size_t k = 0; k < lanes; ++k) {
-        run.serial_factorizations += fields[k].factorizations();
-        const std::span<const double> profile =
-            fields[k].profile_milli_molar();
-        serial_profiles[k].assign(profile.begin(), profile.end());
-      }
-    }
-    {  // batched: the same K lanes through one SoA lockstep stepper
-      transport::DiffusionFieldBatch batch(d, grid, bulks);
-      std::vector<double> flux(lanes, 0.0);
-      const engine::Stopwatch watch;
-      double sink = 0.0;
-      for (std::size_t i = 0; i < steps; ++i) {
-        batch.step_reactive_surface(
-            dt, [](std::size_t, double c0) { return mm_flux(c0); }, flux);
-        sink += flux[0];
-      }
-      benchmark::DoNotOptimize(sink);
-      batched_s = std::min(batched_s, watch.elapsed_seconds());
-      run.batched_factorizations = batch.factorizations();
-      for (std::size_t k = 0; k < lanes; ++k) {
-        if (batch.profile_milli_molar(k) != serial_profiles[k]) {
-          run.bit_identical = false;
-        }
-      }
-    }
-  }
-  const double lane_steps = static_cast<double>(lanes * steps);
-  run.serial_steps_per_sec = lane_steps / serial_s;
-  run.batched_steps_per_sec = lane_steps / batched_s;
-  run.speedup = run.batched_steps_per_sec / run.serial_steps_per_sec;
-  return run;
-}
-
-// --- Section 3: cohort wall time, cold vs warm ---------------------
+// --- Section 2: cohort wall time, cold vs warm ---------------------
 
 core::Platform make_panel() {
   // Point-of-care acquisition settings (same as bench_engine_throughput)
@@ -294,44 +208,6 @@ int main(int argc, char** argv) {
   std::printf("claim check: >= 1.5x solver step rate ... %s (%.2fx)\n",
               solver.speedup >= 1.5 ? "OK" : "MISS", solver.speedup);
 
-  // -- batched lockstep cohort stepping --
-  // Full step count under smoke too, for the same comparability reason
-  // as the solver section; only the gated K=8 point must match the
-  // committed baseline's configuration.
-  const std::vector<std::size_t> lane_counts = {1, 8, 32};
-  std::vector<BatchedRun> batched;
-  bool batched_identical = true;
-  std::printf(
-      "\nbatched SoA lockstep vs per-patient fields, %zu nodes, %zu "
-      "steps (best of 3, aggregate lane-steps/s):\n",
-      nodes, steps);
-  for (const std::size_t lanes : lane_counts) {
-    const BatchedRun run = batched_bench(lanes, nodes, steps);
-    std::printf(
-        "  K=%2zu  per-patient: %10.0f  batched: %10.0f  (%.2fx, "
-        "%llu -> %llu factorizations)\n",
-        run.lanes, run.serial_steps_per_sec, run.batched_steps_per_sec,
-        run.speedup,
-        static_cast<unsigned long long>(run.serial_factorizations),
-        static_cast<unsigned long long>(run.batched_factorizations));
-    if (!run.bit_identical) {
-      batched_identical = false;
-      std::fprintf(stderr,
-                   "BYTE-IDENTITY VIOLATION: batched profiles diverge "
-                   "from per-patient fields at K=%zu\n",
-                   run.lanes);
-    }
-    batched.push_back(run);
-  }
-  const BatchedRun& gated = batched[1];  // the K=8 point CI gates on
-  std::printf("batched_steps_per_sec=%.0f\n", gated.batched_steps_per_sec);
-  std::printf("batched_factorizations=%llu\n",
-              static_cast<unsigned long long>(gated.batched_factorizations));
-  std::printf("claim check: >= 4x aggregate step rate at K=8 ... %s "
-              "(%.2fx)\n",
-              gated.speedup >= 4.0 ? "OK" : "MISS", gated.speedup);
-  if (!batched_identical) return 1;
-
   // -- cohort cold vs warm --
   const core::Platform platform = [] {
     core::Platform p = make_panel();
@@ -421,28 +297,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     solver.factorizations_after));
   json += buffer;
-  json += "  \"batched\": {\"nodes\": " + std::to_string(nodes) +
-          ", \"steps\": " + std::to_string(steps) + ",\n    \"runs\": [";
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    std::snprintf(buffer, sizeof(buffer),
-                  "%s\n      {\"lanes\": %zu, "
-                  "\"per_patient_steps_per_sec\": %.0f, "
-                  "\"batched_steps_per_sec\": %.0f, \"speedup\": %.2f, "
-                  "\"factorizations\": %llu}",
-                  i == 0 ? "" : ",", batched[i].lanes,
-                  batched[i].serial_steps_per_sec,
-                  batched[i].batched_steps_per_sec, batched[i].speedup,
-                  static_cast<unsigned long long>(
-                      batched[i].batched_factorizations));
-    json += buffer;
-  }
-  std::snprintf(buffer, sizeof(buffer),
-                "],\n    \"steps_per_sec_batched\": %.0f, "
-                "\"speedup_k8\": %.2f, \"factorizations_k8\": %llu},\n",
-                gated.batched_steps_per_sec, gated.speedup,
-                static_cast<unsigned long long>(
-                    gated.batched_factorizations));
-  json += buffer;
   std::snprintf(buffer, sizeof(buffer),
                 "  \"cohort\": {\"patients\": %zu, \"cold_wall_s\": %.4f, "
                 "\"warm_wall_s\": %.4f,\n    \"warm_speedup\": %.2f, "
@@ -471,22 +325,6 @@ int main(int argc, char** argv) {
         for (auto _ : state) {
           benchmark::DoNotOptimize(field.step_reactive_surface(
               dt, [](double c0) { return mm_flux(c0); }));
-        }
-      });
-  benchmark::RegisterBenchmark(
-      "BM_BatchedReactiveStepK8", [](benchmark::State& state) {
-        const std::vector<Concentration> bulks(
-            8, Concentration::milli_molar(1.0));
-        transport::DiffusionFieldBatch batch(
-            Diffusivity::cm2_per_s(6.7e-6),
-            transport::DiffusionGrid{.length_m = 200e-6, .nodes = 80},
-            bulks);
-        const Time dt = Time::milliseconds(25.0);
-        std::vector<double> flux(8, 0.0);
-        for (auto _ : state) {
-          batch.step_reactive_surface(
-              dt, [](std::size_t, double c0) { return mm_flux(c0); }, flux);
-          benchmark::DoNotOptimize(flux.data());
         }
       });
   benchmark::RegisterBenchmark(

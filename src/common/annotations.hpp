@@ -19,12 +19,3 @@
 #else
 #define BIOSENS_HOT
 #endif
-
-// No-alias qualifier for the batched SoA kernels (common/math.hpp):
-// the factorization arrays never overlap the lane buffers, and telling
-// the compiler so is what lets the stripe loops vectorize.
-#if defined(__GNUC__) || defined(__clang__)
-#define BIOSENS_RESTRICT __restrict__
-#else
-#define BIOSENS_RESTRICT
-#endif

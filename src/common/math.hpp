@@ -5,7 +5,6 @@
 // monotone 1-D interpolation.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <span>
@@ -13,33 +12,6 @@
 
 #include "common/annotations.hpp"
 #include "common/error.hpp"
-
-// Compile-time dispatch of the batched tridiagonal kernels. The scalar
-// path is the portable reference implementation; the wide path carries
-// the vectorization-friendly form (restrict-qualified matrix pointers,
-// `ivdep` inner loops over the lane stripe) that SSE2/AVX2/NEON
-// backends turn into packed arithmetic. Per lane the wide path performs
-// the *same IEEE operations in the same order* — lanes are independent
-// recurrences, so packing them changes nothing — and the test suite
-// asserts bit-equality between the two paths on every platform.
-// Define BIOSENS_BATCH_FORCE_SCALAR (or configure with
-// -DBIOSENS_BATCH_FORCE_SCALAR=ON) to pin the dispatcher to the scalar
-// reference.
-#if !defined(BIOSENS_BATCH_FORCE_SCALAR) && \
-    (defined(__AVX2__) || defined(__SSE2__) || defined(__ARM_NEON) || \
-     defined(__aarch64__))
-#define BIOSENS_BATCH_WIDE 1
-#else
-#define BIOSENS_BATCH_WIDE 0
-#endif
-
-#if defined(__GNUC__) && !defined(__clang__)
-#define BIOSENS_IVDEP _Pragma("GCC ivdep")
-#elif defined(__clang__)
-#define BIOSENS_IVDEP _Pragma("clang loop vectorize(enable) interleave(enable)")
-#else
-#define BIOSENS_IVDEP
-#endif
 
 namespace biosens {
 
@@ -98,140 +70,9 @@ class TridiagonalFactorization {
     }
   }
 
-  /// Solves A*x_k = rhs_k for `lanes` independent right-hand sides with
-  /// the stored factorization — one forward elimination amortized over a
-  /// whole cohort stripe. Layout is structure-of-arrays, node-major:
-  /// element (node i, lane k) lives at index `i * lanes + k`, so the
-  /// inner per-node loop walks `lanes` contiguous doubles and the
-  /// per-lane arithmetic is the exact textbook sequence of solve().
-  /// Lanes are processed in cache-blocked stripes sized so the working
-  /// set of one forward+backward sweep stays L2-resident
-  /// (stripe_lanes()). `x` and `rhs` must each have size() * lanes
-  /// elements; they may alias only as the *same* buffer. Each lane's
-  /// result is bit-identical to a per-lane solve() of the same rhs.
-  BIOSENS_HOT void solve_many(std::span<const double> rhs,
-                              std::span<double> x,
-                              std::size_t lanes) const {
-#if BIOSENS_BATCH_WIDE
-    solve_many_wide(rhs, x, lanes);
-#else
-    solve_many_scalar(rhs, x, lanes);
-#endif
-  }
-
-  /// Portable scalar reference for solve_many(): plain per-lane loops,
-  /// no vectorization pragmas. The wide path must match it bit-for-bit
-  /// (asserted in tests/test_math.cpp).
-  BIOSENS_HOT void solve_many_scalar(std::span<const double> rhs,
-                                     std::span<double> x,
-                                     std::size_t lanes) const {
-    check_many(rhs, x, lanes);
-    const std::size_t n = pivot_.size();
-    const std::size_t stripe = stripe_lanes(n, lanes);
-    for (std::size_t k0 = 0; k0 < lanes; k0 += stripe) {
-      const std::size_t k1 = std::min(lanes, k0 + stripe);
-      const double* r = rhs.data();
-      double* y = x.data();
-      for (std::size_t k = k0; k < k1; ++k) y[k] = r[k] / pivot_[0];
-      for (std::size_t i = 1; i < n; ++i) {
-        const double li = lower_[i - 1];
-        const double pi = pivot_[i];
-        const double* ri = r + i * lanes;
-        const double* yp = y + (i - 1) * lanes;
-        double* yi = y + i * lanes;
-        for (std::size_t k = k0; k < k1; ++k) {
-          yi[k] = (ri[k] - li * yp[k]) / pi;
-        }
-      }
-      for (std::size_t i = n - 1; i-- > 0;) {
-        const double ci = c_prime_[i];
-        const double* yn = y + (i + 1) * lanes;
-        double* yi = y + i * lanes;
-        for (std::size_t k = k0; k < k1; ++k) {
-          yi[k] -= ci * yn[k];
-        }
-      }
-    }
-  }
-
-  /// Vectorization-friendly wide path: identical per-lane arithmetic,
-  /// restrict-qualified matrix pointers and ivdep-annotated stripe
-  /// loops so the compiler packs independent lanes into SIMD registers.
-  BIOSENS_HOT void solve_many_wide(std::span<const double> rhs,
-                                   std::span<double> x,
-                                   std::size_t lanes) const {
-    check_many(rhs, x, lanes);
-    const std::size_t n = pivot_.size();
-    const std::size_t stripe = stripe_lanes(n, lanes);
-    const double* BIOSENS_RESTRICT lower = lower_.data();
-    const double* BIOSENS_RESTRICT pivot = pivot_.data();
-    const double* BIOSENS_RESTRICT cp = c_prime_.data();
-    for (std::size_t k0 = 0; k0 < lanes; k0 += stripe) {
-      const std::size_t k1 = std::min(lanes, k0 + stripe);
-      const double* r = rhs.data();
-      double* y = x.data();
-      const double p0 = pivot[0];
-      BIOSENS_IVDEP
-      for (std::size_t k = k0; k < k1; ++k) y[k] = r[k] / p0;
-      for (std::size_t i = 1; i < n; ++i) {
-        const double li = lower[i - 1];
-        const double pi = pivot[i];
-        const double* ri = r + i * lanes;
-        const double* yp = y + (i - 1) * lanes;
-        double* yi = y + i * lanes;
-        BIOSENS_IVDEP
-        for (std::size_t k = k0; k < k1; ++k) {
-          yi[k] = (ri[k] - li * yp[k]) / pi;
-        }
-      }
-      for (std::size_t i = n - 1; i-- > 0;) {
-        const double ci = cp[i];
-        const double* yn = y + (i + 1) * lanes;
-        double* yi = y + i * lanes;
-        BIOSENS_IVDEP
-        for (std::size_t k = k0; k < k1; ++k) {
-          yi[k] -= ci * yn[k];
-        }
-      }
-    }
-  }
-
-  /// Lanes per cache-blocked stripe: one forward+backward sweep touches
-  /// x and rhs once per node, so two arrays of `nodes * stripe` doubles
-  /// must stay resident; the budget is half of a conservative 256 KiB
-  /// L2 so the factorization arrays and prefetch traffic fit beside
-  /// them. Rounded down to a multiple of 8 lanes (one cache line of
-  /// doubles) when possible, never below 1 or above `lanes`.
-  [[nodiscard]] static std::size_t stripe_lanes(std::size_t nodes,
-                                                std::size_t lanes) {
-    constexpr std::size_t kL2StripeBytes = 128 * 1024;
-    const std::size_t bytes_per_lane =
-        std::max<std::size_t>(2 * sizeof(double) * nodes, 1);
-    std::size_t stripe = kL2StripeBytes / bytes_per_lane;
-    if (stripe >= 8) stripe &= ~std::size_t{7};
-    if (stripe == 0) stripe = 1;
-    return std::min(stripe, std::max<std::size_t>(lanes, 1));
-  }
-
   [[nodiscard]] bool factored() const { return !pivot_.empty(); }
-  [[nodiscard]] std::size_t size() const { return pivot_.size(); }
-  void reset() {
-    lower_.clear();
-    c_prime_.clear();
-    pivot_.clear();
-  }
 
  private:
-  void check_many(std::span<const double> rhs, std::span<double> x,
-                  std::size_t lanes) const {
-    const std::size_t n = pivot_.size();
-    require<NumericsError>(n >= 1, "solve_many() before factor()");
-    require<NumericsError>(lanes >= 1, "solve_many() needs >= 1 lane");
-    require<NumericsError>(
-        rhs.size() == n * lanes && x.size() == n * lanes,
-        "tridiagonal batched rhs size mismatch");
-  }
-
   std::vector<double> lower_;    ///< copied sub-diagonal (rhs pass needs it)
   std::vector<double> c_prime_;  ///< normalized super-diagonal
   std::vector<double> pivot_;    ///< eliminated diagonal pivots

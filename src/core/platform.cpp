@@ -1,11 +1,10 @@
 #include "core/platform.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
-#include "engine/cohort.hpp"
 #include "obs/span.hpp"
 
 namespace biosens::core {
@@ -141,30 +140,6 @@ PanelBatchResult Platform::run_panel_batch(
   // cache on or off and for any worker count.
   engine::SimCache* cache = engine.sim_cache();
 
-  // Cohort batching: run the compatible deterministic stages of the
-  // whole cohort in lockstep through the batched SoA stepper and seed
-  // the cache, so the per-job path below hits instead of re-solving.
-  // When the engine has no cache, a batch-local one (invisible to
-  // engine metrics' cache counters) carries the prefilled traces to the
-  // jobs. Prefill is best-effort and byte-invisible either way.
-  std::unique_ptr<engine::SimCache> batch_cache;
-  if (engine.cohort_batching() && !samples.empty() && !sensors_.empty()) {
-    if (cache == nullptr) {
-      engine::SimCacheOptions cache_options;
-      cache_options.capacity =
-          std::max<std::size_t>(samples.size() * sensors_.size(), 1);
-      batch_cache = std::make_unique<engine::SimCache>(cache_options);
-      cache = batch_cache.get();
-    }
-    engine::CohortPrefillStats stats;
-    for (const BiosensorModel& sensor : sensors_) {
-      stats += sensor.transducer().prefill_cohort(samples, *cache);
-    }
-    engine.metrics().batch_groups.increment(stats.groups);
-    engine.metrics().batch_lanes.increment(stats.lanes);
-    engine.metrics().batch_factorizations.increment(stats.factorizations);
-  }
-
   std::vector<engine::JobSpec> jobs;
   jobs.reserve(samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) {
@@ -204,56 +179,29 @@ Expected<void> Platform::try_calibrate_all_batch(
   calibrations_.assign(sensors_.size(), analysis::CalibrationResult{});
   const CalibrationProtocol protocol(options);
 
-  // Cohort batching for calibration: each sensor's protocol measures a
-  // fixed roster of deterministic samples (the blank plus one per
-  // level; replicates re-present identical content). Prefilling those
-  // through the batched stepper lets every blank repeat and replicate
-  // hit the cache inside the jobs. Byte-invisible, like the panel path.
-  engine::SimCache* cache = nullptr;
-  std::unique_ptr<engine::SimCache> batch_cache;
-  if (engine.cohort_batching() && !sensors_.empty()) {
-    // One deterministic roster per sensor: the blank plus each level.
-    std::vector<std::vector<chem::Sample>> rosters;
-    rosters.reserve(sensors_.size());
-    std::size_t distinct = 0;
-    for (std::size_t i = 0; i < sensors_.size(); ++i) {
-      const std::vector<Concentration> series = standard_series(
-          entries_[i].published.range_low, entries_[i].published.range_high);
-      std::vector<chem::Sample> roster;
-      roster.reserve(series.size() + 1);
-      roster.push_back(chem::blank_sample());
-      for (const Concentration& level : series) {
-        roster.push_back(
-            chem::calibration_sample(sensors_[i].spec().target, level));
-      }
-      distinct += roster.size();
-      rosters.push_back(std::move(roster));
-    }
-
-    cache = engine.sim_cache();
-    if (cache == nullptr) {
-      engine::SimCacheOptions cache_options;
-      cache_options.capacity = std::max<std::size_t>(distinct, 1);
-      batch_cache = std::make_unique<engine::SimCache>(cache_options);
-      cache = batch_cache.get();
-    }
-    engine::CohortPrefillStats stats;
-    for (std::size_t i = 0; i < sensors_.size(); ++i) {
-      stats += sensors_[i].transducer().prefill_cohort(rosters[i], *cache);
-    }
-    engine.metrics().batch_groups.increment(stats.groups);
-    engine.metrics().batch_lanes.increment(stats.lanes);
-    engine.metrics().batch_factorizations.increment(stats.factorizations);
-  }
+  // A protocol re-presents identical content: every blank repeat and
+  // level replicate is the same sample as the first, so a cache makes
+  // each distinct sample simulate once. Jobs share the engine's cache
+  // when it has one; otherwise each job memoizes its own run. Either
+  // way results are byte-identical to an uncached run.
+  engine::SimCache* shared_cache = engine.sim_cache();
 
   std::vector<engine::JobSpec> jobs;
   jobs.reserve(sensors_.size());
   for (std::size_t i = 0; i < sensors_.size(); ++i) {
     engine::JobSpec job;
     job.name = "calibrate-" + sensors_[i].spec().name;
-    job.body = [this, &protocol, cache, i](engine::JobContext& jc) {
+    job.body = [this, &protocol, shared_cache, i](engine::JobContext& jc) {
       const std::vector<Concentration> series = standard_series(
           entries_[i].published.range_low, entries_[i].published.range_high);
+      // The run's distinct samples are the blank plus one per level. One
+      // shard holds all of them without eviction (SimCacheOptions).
+      std::optional<engine::SimCache> run_cache;
+      engine::SimCache* cache = shared_cache;
+      if (cache == nullptr) {
+        cache = &run_cache.emplace(engine::SimCacheOptions{
+            .capacity = series.size() + 1, .shards = 1});
+      }
       auto outcome = protocol.try_run(sensors_[i], series, jc.rng, cache);
       if (!outcome) return Expected<bool>(outcome.error());
       calibrations_[i] = std::move(outcome).value().result;

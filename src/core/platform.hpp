@@ -125,9 +125,11 @@ class Platform {
   /// and its results are identical for every worker count — but it is a
   /// *different* (per-sensor-seeded) derivation than the serial shared-
   /// rng try_calibrate_all(), so the two produce different (both valid)
-  /// calibrations. See docs/determinism.md. Scans the engine's per-job
-  /// reports and surfaces the lowest-indexed sensor's structured error,
-  /// leaving the platform consistently uncalibrated.
+  /// calibrations. See docs/determinism.md. Each sensor's repeated
+  /// samples simulate once, through the engine's sim cache or, when the
+  /// engine has none, a cache local to that sensor's job. Scans the
+  /// engine's per-job reports and surfaces the lowest-indexed sensor's
+  /// structured error, leaving the platform consistently uncalibrated.
   [[nodiscard]] Expected<void> try_calibrate_all_batch(
       engine::Engine& engine, std::uint64_t seed,
       const ProtocolOptions& options = {});

@@ -38,9 +38,10 @@ class CalibrationProtocol {
   /// Measures the series (plus blanks) and calibrates. A malformed
   /// series, a measurement failure on any blank or level, or a
   /// calibration-fit rejection comes back as a structured error with a
-  /// "calibration protocol" context frame. `cache` memoizes
-  /// only deterministic pre-noise stages (the cohort-batching prefill
-  /// seeds it); results are byte-identical with or without one.
+  /// "calibration protocol" context frame. `cache` memoizes only
+  /// deterministic pre-noise stages, so each distinct sample (the blank,
+  /// each level) simulates once; results are byte-identical with or
+  /// without one. Null means no cache.
   [[nodiscard]] Expected<ProtocolOutcome> try_run(
       const BiosensorModel& sensor, std::span<const Concentration> series,
       Rng& rng, engine::SimCache* cache = nullptr) const;

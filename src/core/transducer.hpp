@@ -23,7 +23,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 
 #include "analysis/peaks.hpp"
 #include "chem/solution.hpp"
@@ -36,7 +35,6 @@
 #include "electrochem/dpv.hpp"
 #include "electrochem/trace.hpp"
 #include "electrochem/voltammetry.hpp"
-#include "engine/cohort.hpp"
 #include "engine/sim_cache.hpp"
 #include "fet/trace.hpp"
 #include "readout/noise.hpp"
@@ -92,21 +90,6 @@ class Transducer {
   /// reads; domain-separated per transduction family.
   [[nodiscard]] virtual engine::CacheKey simulation_key(
       const chem::Sample& sample) const = 0;
-
-  /// Best-effort cohort prefill: seeds `cache` with the deterministic
-  /// pre-noise artifacts for a batch of samples, computed in lockstep
-  /// through the batched SoA stepper when the backend supports it
-  /// (docs/performance.md, "Cohort batching"). Must be byte-invisible:
-  /// a seeded entry must equal what try_transduce() would compute and
-  /// cache for that key, bit for bit — and on any internal error the
-  /// implementation inserts nothing and returns, leaving the per-job
-  /// path to surface the identical structured error. The default does
-  /// nothing (non-batching backends).
-  [[nodiscard]] virtual engine::CohortPrefillStats prefill_cohort(
-      std::span<const chem::Sample> /*samples*/,
-      engine::SimCache& /*cache*/) const {
-    return {};
-  }
 
   /// Noise specification the readout chain applies for this device.
   [[nodiscard]] virtual readout::NoiseSpec noise_spec() const = 0;

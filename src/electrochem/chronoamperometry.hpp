@@ -58,10 +58,6 @@ class ChronoamperometrySim {
   /// faster; ablation A2).
   [[nodiscard]] Time response_time_95() const;
 
-  [[nodiscard]] const Cell& cell() const { return cell_; }
-  [[nodiscard]] const PotentialStep& waveform() const { return waveform_; }
-  [[nodiscard]] const ChronoOptions& options() const { return options_; }
-
  private:
   Cell cell_;
   PotentialStep waveform_;

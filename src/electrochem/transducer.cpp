@@ -9,11 +9,9 @@
 
 #include "analysis/peaks.hpp"
 #include "common/error.hpp"
-#include "electrochem/chrono_batch.hpp"
 #include "electrochem/chronoamperometry.hpp"
 #include "electrochem/dpv.hpp"
 #include "electrochem/voltammetry.hpp"
-#include "engine/cohort.hpp"
 #include "readout/chain.hpp"
 
 namespace biosens::electrochem {
@@ -139,65 +137,6 @@ engine::CacheKey AmperometricTransducer::simulation_key(
     key.add(sample.concentration_of(name).molar());
   }
   return key;
-}
-
-engine::CohortPrefillStats AmperometricTransducer::prefill_cohort(
-    std::span<const chem::Sample> samples, engine::SimCache& cache) const {
-  engine::CohortPrefillStats stats;
-  // Only chronoamperometry has a lockstep batch runner today; other
-  // techniques fall through to the ordinary per-job path.
-  if (spec_.technique != core::Technique::kChronoamperometry) return stats;
-  if (samples.empty()) return stats;
-
-  // Prefill runs on the caller's thread, outside the engine's exception
-  // adapter, so everything constructed below must be known not to
-  // throw. Mirror the Cell / ChronoamperometrySim constructor
-  // preconditions and bail to the serial path on a violation — the jobs
-  // surface the identical structured error with full context.
-  ChronoOptions chrono = options_.chrono;
-  chrono.duration = spec_.ca_hold;
-  const bool constructible =
-      chrono.duration.seconds() > 0.0 && chrono.dt.seconds() > 0.0 &&
-      chrono.dt.seconds() < chrono.duration.seconds() &&
-      chrono.grid_nodes >= 3 && !layer_.substrate.empty() &&
-      (!options_.hydrodynamics.stirred ||
-       options_.hydrodynamics.stir_rate_rpm > 0.0);
-  if (!constructible) return stats;
-
-  // Group by content key: duplicates collapse onto one lane, and keys
-  // already resident are skipped entirely (recomputing them would
-  // waste the warm-cohort fast path the cache exists for).
-  engine::CohortGrouper grouper;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    grouper.add(simulation_key(samples[i]), i);
-  }
-
-  const PotentialStep step(Potential::volts(0.0), spec_.ca_step_potential,
-                           spec_.ca_hold);
-
-  std::vector<engine::CacheKey> keys;
-  std::vector<ChronoamperometrySim> sims;
-  keys.reserve(grouper.size());
-  sims.reserve(grouper.size());
-  for (const engine::CohortGroup& g : grouper.groups()) {
-    if (cache.find(g.key) != nullptr) continue;
-    sims.emplace_back(make_cell(samples[g.members.front()]), step, chrono);
-    keys.push_back(g.key);
-  }
-  if (sims.empty()) return stats;
-
-  // Best-effort: on any lane's structured error, seed nothing — the
-  // per-job serial path reproduces the identical error byte-for-byte.
-  auto batch = try_run_chrono_batch(sims);
-  if (!batch) return stats;
-  ChronoBatchResult result = std::move(batch).value();
-  for (std::size_t k = 0; k < keys.size(); ++k) {
-    cache.put<TimeSeries>(keys[k], std::move(result.traces[k]));
-  }
-  stats.groups = 1;
-  stats.lanes = static_cast<std::uint64_t>(sims.size());
-  stats.factorizations = result.factorizations;
-  return stats;
 }
 
 Expected<core::Measurement> AmperometricTransducer::try_transduce(

@@ -36,14 +36,6 @@ class AmperometricTransducer final : public core::Transducer {
       const chem::Sample& sample) const override;
   [[nodiscard]] engine::CacheKey simulation_key(
       const chem::Sample& sample) const override;
-  /// Chronoamperometric specs batch their deterministic traces through
-  /// the lockstep stepper (electrochem/chrono_batch.hpp) and seed
-  /// `cache`; other techniques return without work. Best-effort: any
-  /// internal error inserts nothing, so the per-job serial path
-  /// reproduces the identical structured error.
-  [[nodiscard]] engine::CohortPrefillStats prefill_cohort(
-      std::span<const chem::Sample> samples,
-      engine::SimCache& cache) const override;
   [[nodiscard]] readout::NoiseSpec noise_spec() const override;
   [[nodiscard]] Time measurement_time() const override;
   [[nodiscard]] Area active_area() const override {

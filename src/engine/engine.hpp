@@ -4,7 +4,7 @@
 // reference mode every parallel run must reproduce bit-for-bit) and the
 // shared metrics registry. Higher layers hand it batches of JobSpecs
 // directly or through the typed entry points in core/ (
-// Platform::run_panel_batch, Platform::calibrate_all_batch, the
+// Platform::run_panel_batch, Platform::try_calibrate_all_batch, the
 // engine-backed cohort helpers in core/workloads). A batch's output is
 // its JobReports and snapshot(); live health, rates and Prometheus text
 // belong to the resident service (service/service.hpp).
@@ -33,13 +33,6 @@ struct EngineOptions {
   /// with the cache on or off — it only skips recomputing deterministic
   /// simulation stages whose inputs hash identically.
   std::size_t sim_cache_capacity = 0;
-  /// Route compatible cohort jobs through the batched SoA stepper
-  /// (engine/cohort.hpp): panel/calibration entry points prefill the
-  /// simulation cache with lockstep-computed traces before fanning jobs
-  /// out. Byte-invisible — per-patient results are bit-identical to the
-  /// per-field path — so it defaults on; disable to benchmark the
-  /// serial reference.
-  bool cohort_batching = true;
 };
 
 class Engine {
@@ -63,11 +56,6 @@ class Engine {
   [[nodiscard]] SimCache* sim_cache() { return sim_cache_.get(); }
   [[nodiscard]] const SimCache* sim_cache() const {
     return sim_cache_.get();
-  }
-
-  /// Whether cohort entry points may prefill via the batched stepper.
-  [[nodiscard]] bool cohort_batching() const {
-    return options_.cohort_batching;
   }
 
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }

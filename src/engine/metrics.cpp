@@ -56,9 +56,6 @@ MetricsSnapshot MetricsRegistry::snapshot(double wall_seconds) const {
   s.cache_hits = cache_hits.value();
   s.cache_misses = cache_misses.value();
   s.cache_evictions = cache_evictions.value();
-  s.batch_groups = batch_groups.value();
-  s.batch_lanes = batch_lanes.value();
-  s.batch_factorizations = batch_factorizations.value();
   s.wall_seconds = wall_seconds;
   s.busy_seconds =
       static_cast<double>(busy_nanos_.load(std::memory_order_relaxed)) /
@@ -83,9 +80,6 @@ void MetricsRegistry::reset() {
   cache_hits.reset();
   cache_misses.reset();
   cache_evictions.reset();
-  batch_groups.reset();
-  batch_lanes.reset();
-  batch_factorizations.reset();
   attempt_latency.reset();
   queue_wait.reset();
   busy_nanos_.store(0, std::memory_order_relaxed);

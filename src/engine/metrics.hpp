@@ -39,9 +39,8 @@ struct MetricsSnapshot {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
-  // Cohort-batching prefill activity (engine/cohort.hpp): lockstep
-  // groups run, lanes advanced, shared-matrix factorizations paid.
-  std::uint64_t batch_groups = 0;
+  // Always 0. Kept because the end-to-end benchmark (e2ebench/) still
+  // reports them.
   std::uint64_t batch_lanes = 0;
   std::uint64_t batch_factorizations = 0;
   double wall_seconds = 0.0;        ///< batch wall-clock time
@@ -86,10 +85,6 @@ class MetricsRegistry {
   Counter cache_hits;
   Counter cache_misses;
   Counter cache_evictions;
-  // Cohort-batching prefill traffic (fed by the core entry points).
-  Counter batch_groups;
-  Counter batch_lanes;
-  Counter batch_factorizations;
   LatencyHistogram attempt_latency;
   /// Per-job submit -> worker-start delta (batch_runner records it
   /// unconditionally; an installed recorder also gets one queue-wait

@@ -14,9 +14,9 @@ SimCache::SimCache(SimCacheOptions options, MetricsRegistry* metrics)
       metrics_(metrics) {
   const std::size_t shard_count =
       std::clamp<std::size_t>(options.shards, 1, capacity_);
-  // Ceil division: the shard capacities sum to >= capacity_, so a
-  // pathological key distribution can never shrink the cache below its
-  // configured size.
+  // Ceil division: the shard capacities sum to >= capacity_. Each shard
+  // still evicts on its own, so keys that cluster on one shard evict
+  // while the cache holds fewer than capacity_ entries.
   per_shard_capacity_ = (capacity_ + shard_count - 1) / shard_count;
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {

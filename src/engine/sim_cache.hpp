@@ -98,7 +98,10 @@ struct CacheKeyHasher {
 };
 
 struct SimCacheOptions {
-  /// Total cached entries across all shards (>= 1).
+  /// Total cached entries across all shards (>= 1). Each shard evicts
+  /// beyond ceil(capacity / shards) of its own entries, so N distinct
+  /// keys stay resident without eviction only when shards = 1 or the
+  /// shards have slack for how the keys fall among them.
   std::size_t capacity = 4096;
   /// Independent mutex-striped LRU segments (rounded up to >= 1).
   std::size_t shards = 16;

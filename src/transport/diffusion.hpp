@@ -63,9 +63,7 @@ struct SurfaceFluxSolve {
 /// the pre-step surface concentration. Damping 0.5, relative tolerance
 /// 1e-8, at most 12 iterations. On convergence it returns the updated
 /// flux; at the cap, the damped one. `drop` is always k times the last
-/// *applied* flux, the product the final c0 was read at. Shared by
-/// DiffusionField and DiffusionFieldBatch, so each batch lane runs the
-/// exact serial arithmetic.
+/// *applied* flux, the product the final c0 was read at.
 template <typename FluxFn>
 BIOSENS_HOT SurfaceFluxSolve solve_surface_flux(FluxFn&& flux_of_surface,
                                                 double pre_step_c0, double u0,

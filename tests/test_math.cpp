@@ -73,110 +73,6 @@ TEST_P(TridiagonalProperty, ResidualVanishes) {
 INSTANTIATE_TEST_SUITE_P(Sizes, TridiagonalProperty,
                          ::testing::Values(2, 3, 5, 17, 64, 257));
 
-// --- batched solve_many --------------------------------------------
-
-/// Random diagonally dominant factorization plus an interleaved SoA rhs
-/// block (node-major: element (i, k) at i * lanes + k).
-struct BatchSystem {
-  TridiagonalFactorization factorization;
-  std::vector<double> lower, diag, upper;
-  std::vector<double> rhs;  ///< n * lanes, interleaved
-  std::size_t n = 0;
-  std::size_t lanes = 0;
-};
-
-BatchSystem make_batch_system(std::size_t n, std::size_t lanes,
-                              std::uint64_t seed) {
-  BatchSystem s;
-  s.n = n;
-  s.lanes = lanes;
-  Rng rng(seed);
-  s.lower.resize(n - 1);
-  s.upper.resize(n - 1);
-  s.diag.resize(n);
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    s.lower[i] = rng.uniform(-1.0, 1.0);
-    s.upper[i] = rng.uniform(-1.0, 1.0);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    s.diag[i] = 3.0 + rng.uniform(0.0, 1.0);
-  }
-  s.factorization.factor(s.lower, s.diag, s.upper);
-  s.rhs.resize(n * lanes);
-  for (double& v : s.rhs) v = rng.uniform(-5.0, 5.0);
-  return s;
-}
-
-class SolveManyIdentity
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(SolveManyIdentity, MatchesPerLaneSolveBitwise) {
-  const auto n = static_cast<std::size_t>(std::get<0>(GetParam()));
-  const auto lanes = static_cast<std::size_t>(std::get<1>(GetParam()));
-  const BatchSystem s = make_batch_system(n, lanes, 31u * n + lanes);
-
-  std::vector<double> batched(n * lanes, 0.0);
-  s.factorization.solve_many(s.rhs, batched, lanes);
-
-  std::vector<double> lane_rhs(n), lane_x(n);
-  for (std::size_t k = 0; k < lanes; ++k) {
-    for (std::size_t i = 0; i < n; ++i) lane_rhs[i] = s.rhs[i * lanes + k];
-    s.factorization.solve(lane_rhs, lane_x);
-    for (std::size_t i = 0; i < n; ++i) {
-      // Bit-identity, not closeness: the batched kernel runs the exact
-      // serial recurrence per lane.
-      ASSERT_EQ(batched[i * lanes + k], lane_x[i])
-          << "lane " << k << " node " << i << " diverged";
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, SolveManyIdentity,
-    ::testing::Values(std::make_tuple(3, 1), std::make_tuple(33, 3),
-                      std::make_tuple(80, 8), std::make_tuple(80, 17),
-                      std::make_tuple(257, 64),
-                      // stripe boundary cases: lanes around the L2
-                      // stripe width for large n
-                      std::make_tuple(2048, 9), std::make_tuple(2048, 16)));
-
-TEST(SolveMany, WideAndScalarDispatchAgreeBitwise) {
-  // The -march wide path is only valid because it matches the portable
-  // scalar reference bit for bit; this is the identity test gating it.
-  const BatchSystem s = make_batch_system(129, 23, 4242);
-  std::vector<double> wide(s.n * s.lanes, 0.0);
-  std::vector<double> scalar(s.n * s.lanes, 0.0);
-  s.factorization.solve_many_wide(s.rhs, wide, s.lanes);
-  s.factorization.solve_many_scalar(s.rhs, scalar, s.lanes);
-  for (std::size_t i = 0; i < wide.size(); ++i) {
-    ASSERT_EQ(wide[i], scalar[i]) << "index " << i;
-  }
-}
-
-TEST(SolveMany, SingleLaneIsSolve) {
-  const BatchSystem s = make_batch_system(41, 1, 7);
-  std::vector<double> batched(s.n, 0.0), serial(s.n, 0.0);
-  s.factorization.solve_many(s.rhs, batched, 1);
-  s.factorization.solve(s.rhs, serial);
-  EXPECT_EQ(batched, serial);
-}
-
-TEST(SolveMany, RejectsBadShapes) {
-  const BatchSystem s = make_batch_system(8, 4, 11);
-  std::vector<double> x(8 * 4, 0.0);
-  // Unfactored use.
-  const TridiagonalFactorization empty;
-  EXPECT_THROW(empty.solve_many(s.rhs, x, 4), NumericsError);
-  // Zero lanes.
-  EXPECT_THROW(s.factorization.solve_many(s.rhs, x, 0), NumericsError);
-  // rhs/x not n * lanes.
-  std::vector<double> short_rhs(8 * 3, 0.0);
-  EXPECT_THROW(s.factorization.solve_many(short_rhs, x, 4), NumericsError);
-  std::vector<double> short_x(8 * 3, 0.0);
-  EXPECT_THROW(s.factorization.solve_many(s.rhs, short_x, 4),
-               NumericsError);
-}
-
 TEST(Linspace, EndpointsAndSpacing) {
   const auto g = linspace(0.0, 1.0, 5);
   ASSERT_EQ(g.size(), 5u);

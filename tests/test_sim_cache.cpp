@@ -110,6 +110,34 @@ TEST(SimCache, EvictedValueStaysAliveForExistingReaders) {
   EXPECT_EQ(*held, 11);  // the handed-out pointer is still valid
 }
 
+TEST(SimCache, KeysOnOneShardEvictBelowTotalCapacity) {
+  // Capacity 4 over 4 shards: each shard keeps ceil(4 / 4) = 1 entry.
+  // Two keys that select the same shard (low hash mod shard count)
+  // evict each other while the cache holds a single entry.
+  SimCache cache(SimCacheOptions{.capacity = 4, .shards = 4});
+  ASSERT_EQ(cache.shard_count(), 4u);
+  const CacheKey first = key_of(0);
+  std::uint64_t tag = 1;
+  while (key_of(tag).low() % 4 != first.low() % 4) ++tag;
+  const CacheKey second = key_of(tag);
+
+  (void)cache.put<int>(first, 1);
+  (void)cache.put<int>(second, 2);  // evicts `first`
+
+  EXPECT_EQ(cache.find_as<int>(first), nullptr);
+  EXPECT_NE(cache.find_as<int>(second), nullptr);
+  const SimCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+
+  // One shard of the same capacity keeps both.
+  SimCache one_shard(SimCacheOptions{.capacity = 4, .shards = 1});
+  (void)one_shard.put<int>(first, 1);
+  (void)one_shard.put<int>(second, 2);
+  EXPECT_EQ(one_shard.stats().evictions, 0u);
+  EXPECT_EQ(one_shard.stats().entries, 2u);
+}
+
 TEST(SimCache, ReplacesValueForAnExistingKey) {
   SimCache cache(SimCacheOptions{.capacity = 4, .shards = 1});
   (void)cache.put<int>(key_of(1), 1);
@@ -288,10 +316,22 @@ TEST_F(SimCachePanels, CachedBatchesAreByteIdenticalAtOneAndEightWorkers) {
         << "cached results diverged at " << workers << " workers";
 
     const engine::SimCacheStats stats = cached.sim_cache()->stats();
-    EXPECT_GT(stats.hits, 0u) << "duplicate samples never hit the cache";
-    EXPECT_GT(stats.misses, 0u);
-    // The engine metrics mirror the cache counters.
     const engine::MetricsSnapshot snap = cached.snapshot();
+    // One lookup per sensor per attempt; each (sensor, composition) key
+    // is kept once, whichever worker computed it.
+    const std::uint64_t distinct = platform_.sensor_count() * 6;
+    EXPECT_EQ(stats.hits + stats.misses,
+              platform_.sensor_count() * snap.attempts);
+    EXPECT_EQ(stats.entries, distinct);
+    EXPECT_GE(stats.misses, distinct);
+    if (workers == 1) {
+      // One worker runs a duplicate after its first copy, so every
+      // repeated lookup hits. At 8 workers the two copies may run at
+      // once and both miss.
+      EXPECT_EQ(stats.misses, distinct);
+      EXPECT_GT(stats.hits, 0u) << "duplicate samples never hit the cache";
+    }
+    // The engine metrics mirror the cache counters.
     EXPECT_EQ(snap.cache_hits, stats.hits);
     EXPECT_EQ(snap.cache_misses, stats.misses);
   }
